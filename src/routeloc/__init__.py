@@ -83,12 +83,12 @@ from .world import (
     MapGraph,
     Route,
     TurnPattern,
-    angle_difference,
     bearing_deg,
     enumerate_routes,
     extend_routes,
     load_graph,
     save_graph,
+    turn_bits,
     turn_pattern,
     turn_pattern_matrix,
 )

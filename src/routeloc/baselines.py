@@ -8,12 +8,12 @@ turn-only baseline matches routes purely on their binary turn pattern.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .localizer import LocalizerConfig, _lex_order
-from .world import DEFAULT_TURN_THRESHOLD, MapGraph, Route, TurnPattern, turn_pattern, turn_pattern_matrix
+from .localizer import LocalizerConfig, rank_matrix, route_matrix
+from .world import DEFAULT_TURN_THRESHOLD, MapGraph, Route, TurnPattern
 
 # Bit order of a BSD code.
 BSD_TAG_ORDER = ("junction_ahead", "junction_behind", "gap_left", "gap_right")
@@ -89,35 +89,12 @@ def bsd_localize(query_codes: Sequence[BsdCode], routes, g: MapGraph,
     m = len(query_codes)
     if m < 1:
         raise ValueError("need at least one query code")
-    route_list = sorted(routes)
-    if not route_list:
-        return []
-    if any(len(r) != m for r in route_list):
-        raise ValueError(f"all candidate routes must have the query length {m}")
-    matrix = np.asarray(route_list, dtype=np.int64)
-
-    if cfg.use_turns and turns is not None:
-        if m < 2:
-            raise ValueError("turn filtering needs routes of length >= 2")
-        tq = np.asarray(turns, dtype=np.uint8)
-        if tq.shape != (m - 1,):
-            raise ValueError(f"turn pattern must have {m - 1} bits, got {tq.shape}")
-        patterns = turn_pattern_matrix(matrix, g, cfg.turn_threshold)
-        keep = (patterns == tq[None, :]).all(axis=1)
-        matrix = matrix[keep]
-        if len(matrix) == 0:
-            return []
-
+    matrix = route_matrix(routes, m, g, turns, cfg)
     codes = map_code_matrix(g)
     dists = np.zeros(len(matrix), dtype=np.float64)
     for i in range(m):
-        cost = hamming_cost_vector(codes, query_codes[i])
-        dists += cost[g.rows_of(matrix[:, i])]
-
-    order = _lex_order(matrix, dists)
-    if cfg.top_k is not None:
-        order = order[:cfg.top_k]
-    return [(tuple(int(v) for v in matrix[j]), float(dists[j])) for j in order]
+        dists += hamming_cost_vector(codes, query_codes[i])[g.rows_of(matrix[:, i])]
+    return rank_matrix(matrix, dists, cfg.top_k)
 
 
 def turn_only_localize(turns: TurnPattern, routes, g: MapGraph,
@@ -127,13 +104,10 @@ def turn_only_localize(turns: TurnPattern, routes, g: MapGraph,
     Matches carry no further ranking signal; the list is returned in
     lexicographic order for determinism.
     """
-    tq = tuple(int(b) for b in turns)
-    out = []
-    for r in sorted(routes):
-        if len(r) != len(tq) + 1:
-            raise ValueError(
-                f"route length {len(r)} does not fit a {len(tq)}-bit turn pattern"
-            )
-        if turn_pattern(r, g, threshold) == tq:
-            out.append(tuple(r))
-    return out
+    routes = list(routes)
+    m = len(turns) + 1
+    bad = [len(r) for r in routes if len(r) != m]
+    if bad:
+        raise ValueError(f"route length {bad[0]} does not fit a {m - 1}-bit turn pattern")
+    cfg = LocalizerConfig(use_turns=True, turn_threshold=threshold)
+    return list(map(tuple, route_matrix(routes, m, g, turns, cfg).tolist()))

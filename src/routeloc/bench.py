@@ -324,7 +324,6 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
             "sigma": cfg.noise.sigma,
             "outlier_prob": cfg.noise.outlier_prob,
             "exclusions": sorted(cfg.exclusions),
-            "turn_filter_mode": loc_cfg.turn_filter_mode,
             "cull_fraction": loc_cfg.cull_fraction,
             "cull_floor": loc_cfg.cull_floor,
             "world_size": len(g),

@@ -8,7 +8,6 @@ categorized error line to stderr and return nonzero.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -16,7 +15,6 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
-from .baselines import BsdNoise
 from .embedding import (
     AugmentationConfig,
     Encoder,
@@ -30,7 +28,7 @@ from .localizer import LocalizerConfig, localize_full, write_ranked_csv
 from .retrieval import distance_histograms, precision_recall_curve, topk_percent_recall
 from .store import DescriptorStore, StoreFormatError
 from .synth import SyntheticWorldConfig, generate_synthetic_world
-from .world import GraphFormatError, GraphInvariantError, MapGraph, load_graph, save_graph
+from .world import GraphFormatError, GraphInvariantError, load_graph, save_graph
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -78,7 +76,8 @@ def build_parser() -> argparse.ArgumentParser:
     ex.add_argument("--encoders", required=True, help="encoders.npz from embed train")
     ex.add_argument("--domain", choices=("map", "image"), default="map")
     ex.add_argument("--tile", choices=("s1", "s2"), default="s1")
-    ex.add_argument("--seed", type=int, default=0, help="view derivation seed")
+    ex.add_argument("--seed", type=int, default=None,
+                    help="view derivation seed (default: the training seed)")
     ex.add_argument("--out", required=True, help="output directory")
     ex.add_argument("--name", default=None, help="store filename (default <domain>.emb)")
 
@@ -225,7 +224,7 @@ def _load_encoders(path):
 def _cmd_embed_export(args):
     g = load_graph(args.graph)
     g_enc, f_enc, cfg, view_seed = _load_encoders(args.encoders)
-    views = WorldViews.from_graph(g, seed=args.seed if args.seed else view_seed)
+    views = WorldViews.from_graph(g, seed=view_seed if args.seed is None else args.seed)
     if args.domain == "map":
         lat = views.map_s1 if args.tile == "s1" else views.map_s2
         enc = g_enc
@@ -316,7 +315,7 @@ def _cmd_bench_sweep(args):
         if m not in bench_mod.METHODS:
             raise ValueError(f"unknown method {m!r}; expected one of {bench_mod.METHODS}")
     g = load_graph(args.graph)
-    views = WorldViews.from_graph(g)
+    views = WorldViews.from_graph(g, seed=args.seed)
     encoders = None
     needs_embeddings = any(m in ("ES", "ES+T") for m in methods)
     if needs_embeddings:

@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -26,6 +26,7 @@ from .world import (
     MapGraph,
     Route,
     TurnPattern,
+    turn_bits,
     turn_pattern_matrix,
 )
 
@@ -34,19 +35,13 @@ RouteDescriptor = np.ndarray  # (m, dim) query descriptors, one per position
 
 @dataclass(frozen=True)
 class LocalizerConfig:
-    """Search behavior: turn filtering, per-step culling and report depth.
-
-    ``turn_filter_mode`` chooses when turn bits prune candidates: "step"
-    drops incompatible extensions immediately; "final" keeps them but marks
-    them ineligible for ranked output.
-    """
+    """Search behavior: turn filtering, per-step culling and report depth."""
 
     use_turns: bool = False
     cull_fraction: float = 0.0
     cull_floor: int = 100
     top_k: int | None = None
     turn_threshold: float = DEFAULT_TURN_THRESHOLD
-    turn_filter_mode: str = "step"
 
     def __post_init__(self):
         if not 0.0 <= self.cull_fraction < 1.0:
@@ -55,8 +50,6 @@ class LocalizerConfig:
             raise ValueError(f"cull_floor must be >= 1, got {self.cull_floor}")
         if self.top_k is not None and self.top_k < 1:
             raise ValueError(f"top_k must be >= 1 or None, got {self.top_k}")
-        if self.turn_filter_mode not in ("step", "final"):
-            raise ValueError(f"unknown turn_filter_mode {self.turn_filter_mode!r}")
 
 
 def route_distance(query: RouteDescriptor, candidate: RouteDescriptor) -> float:
@@ -74,17 +67,15 @@ def route_distance(query: RouteDescriptor, candidate: RouteDescriptor) -> float:
 class CandidateSet:
     """Partial candidate routes with accumulated cost, in graph row space.
 
-    Candidates are stored as arrays for vectorized stepping; ``entries``
-    materializes (route, cum_dist, turn_ok) tuples.  The exclusion tag set is
-    fixed at start time and applied to every extension.
+    Candidates are stored as arrays for vectorized stepping.  The exclusion
+    tag set is fixed at start time and applied to every extension.
     """
 
     def __init__(self, graph: MapGraph, rows: np.ndarray, dists: np.ndarray,
-                 turn_ok: np.ndarray, exclusions: frozenset, allowed: np.ndarray):
+                 exclusions: frozenset, allowed: np.ndarray):
         self.graph = graph
         self._rows = rows
         self._dists = dists
-        self._turn_ok = turn_ok
         self.exclusions = exclusions
         self._allowed = allowed
 
@@ -96,63 +87,24 @@ class CandidateSet:
     def size(self) -> int:
         return self._rows.shape[0]
 
-    @property
-    def entries(self) -> list:
-        ids = self.graph.id_array
-        return [
-            (tuple(int(i) for i in ids[r]), float(d), bool(t))
-            for r, d, t in zip(self._rows, self._dists, self._turn_ok)
-        ]
-
-    def _eligible(self) -> np.ndarray:
-        return np.nonzero(self._turn_ok)[0]
-
     def ranked(self, top_k: int | None = None) -> list:
-        """Full (route, distance) ranking of eligible candidates."""
-        el = self._eligible()
-        if len(el) == 0:
-            return []
-        order = el[_lex_order(self._rows[el], self._dists[el])]
-        if top_k is not None:
-            order = order[:top_k]
-        ids = self.graph.id_array
-        return [
-            (tuple(int(i) for i in ids[self._rows[j]]), float(self._dists[j]))
-            for j in order
-        ]
+        """Full (route, distance) ranking of the candidates, cut to ``top_k`` if set."""
+        return self.top(self.size if top_k is None else top_k)
 
     def top(self, k: int) -> list:
         """First k of the ranking, via partial selection."""
-        el = self._eligible()
-        if len(el) == 0:
-            return []
-        sel = el[_select_smallest(self._rows[el], self._dists[el], k)]
-        sel = sel[_lex_order(self._rows[sel], self._dists[sel])]
-        ids = self.graph.id_array
-        return [
-            (tuple(int(i) for i in ids[self._rows[j]]), float(self._dists[j]))
-            for j in sel
-        ]
+        sel = _select_smallest(self._rows, self._dists, k)
+        return rank_matrix(self.graph.id_array[self._rows[sel]], self._dists[sel], None)
 
 
 def start_candidates(g: MapGraph, costs, exclusions: Iterable[str] = (),
                      cfg: LocalizerConfig = LocalizerConfig()) -> CandidateSet:
     """Length-1 candidate set: every non-excluded location, seeded with its cost."""
-    costs = np.asarray(costs, dtype=np.float64)
-    if costs.shape != (len(g),):
-        raise ValueError(f"cost vector must have one entry per location ({len(g)}), got {costs.shape}")
+    costs = _check_costs(g, costs)
     excl = frozenset(exclusions)
     allowed = g.allowed_mask(excl)
     rows = np.nonzero(allowed)[0].astype(np.int32)[:, None]
-    state = CandidateSet(
-        g,
-        rows,
-        costs[rows[:, 0]].astype(np.float64),
-        np.ones(len(rows), dtype=bool),
-        excl,
-        allowed,
-    )
-    return _cull(state, cfg)
+    return _cull(CandidateSet(g, rows, costs[rows[:, 0]], excl, allowed), cfg)
 
 
 def advance_candidates(state: CandidateSet, costs, next_turn_bit=None,
@@ -161,21 +113,17 @@ def advance_candidates(state: CandidateSet, costs, next_turn_bit=None,
 
     Legal means: adjacent to the current endpoint, not already on the route,
     and free of excluded tags.  With ``cfg.use_turns`` and a query turn bit,
-    extensions whose geometric turn bit disagrees are dropped ("step" mode)
-    or marked ineligible ("final" mode).  Then the worst
-    ceil(cull_fraction * n) candidates by cumulative distance are culled,
-    never dropping below ``cull_floor`` survivors.
+    extensions whose geometric turn bit disagrees are dropped.  Then the
+    worst ceil(cull_fraction * n) candidates by cumulative distance are
+    culled, never dropping below ``cull_floor`` survivors.
     """
     g = state.graph
-    costs = np.asarray(costs, dtype=np.float64)
-    if costs.shape != (len(g),):
-        raise ValueError(f"cost vector must have one entry per location ({len(g)}), got {costs.shape}")
+    costs = _check_costs(g, costs)
     rows = state._rows
     n, m = rows.shape
     if n == 0:
         empty = np.empty((0, m + 1), dtype=np.int32)
-        return CandidateSet(g, empty, np.empty(0), np.empty(0, dtype=bool),
-                            state.exclusions, state._allowed)
+        return CandidateSet(g, empty, np.empty(0), state.exclusions, state._allowed)
 
     nbr = g.neighbor_rows[rows[:, -1]]                     # (n, deg) row indices, -1 pads
     ok = nbr >= 0
@@ -183,35 +131,19 @@ def advance_candidates(state: CandidateSet, costs, next_turn_bit=None,
     ok &= state._allowed[nb_safe]
     ok &= ~(rows[:, None, :] == nb_safe[:, :, None]).any(axis=2)
 
-    turn_ok_ext = None
     if cfg.use_turns and next_turn_bit is not None:
         if m == 1:
             bits = np.zeros(nbr.shape, dtype=bool)          # first step carries no turn
         else:
             p = g.position_array
-            prev = p[rows[:, -1]] - p[rows[:, -2]]
-            b_prev = np.degrees(np.arctan2(prev[:, 1], prev[:, 0]))
-            seg = p[nb_safe] - p[rows[:, -1]][:, None, :]
-            b_new = np.degrees(np.arctan2(seg[..., 1], seg[..., 0]))
-            delta = np.abs((b_new - b_prev[:, None] + 180.0) % 360.0 - 180.0)
-            bits = delta > cfg.turn_threshold
-        match = bits == bool(next_turn_bit)
-        if cfg.turn_filter_mode == "step":
-            ok &= match
-        else:
-            turn_ok_ext = match
+            bits = turn_bits(p[rows[:, -2], None], p[rows[:, -1], None], p[nb_safe],
+                             cfg.turn_threshold)
+        ok &= bits == bool(next_turn_bit)
 
     ci, si = np.nonzero(ok)
     new_rows = np.concatenate([rows[ci], nbr[ci, si][:, None]], axis=1)
     new_dists = state._dists[ci] + costs[nbr[ci, si]]
-    if turn_ok_ext is None:
-        new_turn_ok = state._turn_ok[ci]
-    else:
-        new_turn_ok = state._turn_ok[ci] & turn_ok_ext[ci, si]
-
-    out = CandidateSet(g, new_rows, new_dists, new_turn_ok,
-                       state.exclusions, state._allowed)
-    return _cull(out, cfg)
+    return _cull(CandidateSet(g, new_rows, new_dists, state.exclusions, state._allowed), cfg)
 
 
 def localize_step(state: CandidateSet, next_query, next_turn_bit, g: MapGraph,
@@ -238,37 +170,41 @@ def localize_full(query: RouteDescriptor, routes, store: DescriptorStore,
     q = np.asarray(query, dtype=np.float64)
     if q.ndim != 2:
         raise ValueError(f"query must be (m, dim), got shape {q.shape}")
-    m = q.shape[0]
+    matrix = route_matrix(routes, q.shape[0], graph, turns, cfg)
+    dists = np.zeros(len(matrix), dtype=np.float64)
+    for i in range(q.shape[0]):
+        dists += store.distances_to(q[i])[store.rows_of(matrix[:, i])]
+    return rank_matrix(matrix, dists, cfg.top_k)
+
+
+def route_matrix(routes, m: int, graph: MapGraph | None, turns: TurnPattern | None,
+                 cfg: LocalizerConfig) -> np.ndarray:
+    """Sorted (R, m) id matrix of candidate routes, turn-filtered when asked.
+
+    Every route must have length m.  When ``cfg.use_turns`` and a query turn
+    pattern are given, routes whose map-side pattern differs are dropped.
+    """
     route_list = sorted(routes)
-    if not route_list:
-        return []
     if any(len(r) != m for r in route_list):
         raise ValueError(f"all candidate routes must have the query length {m}")
-    matrix = np.asarray(route_list, dtype=np.int64)
+    matrix = np.asarray(route_list, dtype=np.int64).reshape(len(route_list), m)
+    if not cfg.use_turns or turns is None or not route_list:
+        return matrix
+    if m < 2:
+        raise ValueError("turn filtering needs routes of length >= 2")
+    if graph is None:
+        raise ValueError("turn filtering needs the graph for geometry")
+    tq = np.asarray(turns, dtype=np.uint8)
+    if tq.shape != (m - 1,):
+        raise ValueError(f"turn pattern must have {m - 1} bits, got {tq.shape}")
+    patterns = turn_pattern_matrix(matrix, graph, cfg.turn_threshold)
+    return matrix[(patterns == tq[None, :]).all(axis=1)]
 
-    if cfg.use_turns and turns is not None:
-        if m < 2:
-            raise ValueError("turn filtering needs routes of length >= 2")
-        if graph is None:
-            raise ValueError("turn filtering needs the graph for geometry")
-        tq = np.asarray(turns, dtype=np.uint8)
-        if tq.shape != (m - 1,):
-            raise ValueError(f"turn pattern must have {m - 1} bits, got {tq.shape}")
-        patterns = turn_pattern_matrix(matrix, graph, cfg.turn_threshold)
-        keep = (patterns == tq[None, :]).all(axis=1)
-        matrix = matrix[keep]
-        if len(matrix) == 0:
-            return []
 
-    dists = np.zeros(len(matrix), dtype=np.float64)
-    for i in range(m):
-        cost = store.distances_to(q[i])
-        dists += cost[store.rows_of(matrix[:, i])]
-
-    order = _lex_order(matrix, dists)
-    if cfg.top_k is not None:
-        order = order[:cfg.top_k]
-    return [(tuple(int(v) for v in matrix[j]), float(dists[j])) for j in order]
+def rank_matrix(matrix: np.ndarray, dists: np.ndarray, top_k: int | None) -> list:
+    """(route, distance) list of the rows of ``matrix`` in ranking order, cut to top_k."""
+    order = _lex_order(matrix, dists)[:top_k]
+    return list(zip(map(tuple, matrix[order].tolist()), dists[order].tolist()))
 
 
 def check_success(estimated: Route, truth: Route, window: int = 5) -> bool:
@@ -313,6 +249,8 @@ def _select_smallest(rows: np.ndarray, dists: np.ndarray, k: int) -> np.ndarray:
     n = len(dists)
     if k >= n:
         return np.arange(n)
+    if k < 1:
+        return np.arange(0)
     part = np.argpartition(dists, k - 1)[:k]
     boundary = dists[part].max()
     strict = np.nonzero(dists < boundary)[0]
@@ -323,6 +261,15 @@ def _select_smallest(rows: np.ndarray, dists: np.ndarray, k: int) -> np.ndarray:
     return np.concatenate([strict, tied])
 
 
+def _check_costs(g: MapGraph, costs) -> np.ndarray:
+    costs = np.asarray(costs, dtype=np.float64)
+    if costs.shape != (len(g),):
+        raise ValueError(f"cost vector must have one entry per location ({len(g)}), got {costs.shape}")
+    if not np.isfinite(costs).all():
+        raise ValueError("cost vector must be finite")
+    return costs
+
+
 def _cull(state: CandidateSet, cfg: LocalizerConfig) -> CandidateSet:
     n = state.size
     if cfg.cull_fraction <= 0.0 or n <= cfg.cull_floor:
@@ -331,11 +278,5 @@ def _cull(state: CandidateSet, cfg: LocalizerConfig) -> CandidateSet:
     if keep_n >= n:
         return state
     sel = _select_smallest(state._rows, state._dists, keep_n)
-    return CandidateSet(
-        state.graph,
-        state._rows[sel],
-        state._dists[sel],
-        state._turn_ok[sel],
-        state.exclusions,
-        state._allowed,
-    )
+    return CandidateSet(state.graph, state._rows[sel], state._dists[sel],
+                        state.exclusions, state._allowed)

@@ -135,31 +135,13 @@ def generate_synthetic_world(cfg: SyntheticWorldConfig) -> MapGraph:
 
 
 def _grid_topology(cfg, rng):
+    # Street grid with degree-2 chains between junctions; block_len 1 is
+    # the plain lattice, whose edges get no interior locations.
     b = cfg.block_len
     if b == 1:
         rows, cols = _near_square_factors(cfg.node_count)
-        positions = {}
-        adjacency = {}
-        nid = lambda r, c: r * cols + c
-        for r in range(rows):
-            for c in range(cols):
-                positions[nid(r, c)] = (c * cfg.spacing, r * cfg.spacing)
-                adjacency[nid(r, c)] = set()
-        edges = []
-        for r in range(rows):
-            for c in range(cols):
-                if c + 1 < cols:
-                    edges.append((nid(r, c), nid(r, c + 1)))
-                if r + 1 < rows:
-                    edges.append((nid(r, c), nid(r + 1, c)))
-        kept = _drop_edges(edges, cfg.edge_drop_prob, rng)
-        for a, bb in kept:
-            adjacency[a].add(bb)
-            adjacency[bb].add(a)
-        return positions, adjacency
-
-    # Street grid with degree-2 chains between junctions.
-    rows, cols = _best_block_grid(cfg.node_count, b)
+    else:
+        rows, cols = _best_block_grid(cfg.node_count, b)
     step = b * cfg.spacing
     positions = {}
     adjacency = {}

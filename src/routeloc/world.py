@@ -447,9 +447,17 @@ def bearing_deg(a: Sequence[float], b: Sequence[float]) -> float:
     return math.degrees(math.atan2(b[1] - a[1], b[0] - a[0])) % 360.0
 
 
-def angle_difference(b1: float, b0: float) -> float:
-    """Absolute angular difference between two bearings, wrapped into [0, 180]."""
-    return abs((b1 - b0 + 180.0) % 360.0 - 180.0)
+def turn_bits(a, b, c, threshold: float = DEFAULT_TURN_THRESHOLD) -> np.ndarray:
+    """Turn bits at b of the walks a -> b -> c, over broadcast (..., 2) positions.
+
+    A bit is set iff the bearing of b -> c differs from that of a -> b by
+    more than ``threshold`` degrees, the difference wrapped into [0, 180].
+    """
+    u = np.asarray(b) - np.asarray(a)
+    v = np.asarray(c) - np.asarray(b)
+    b0 = np.degrees(np.arctan2(u[..., 1], u[..., 0]))
+    b1 = np.degrees(np.arctan2(v[..., 1], v[..., 0]))
+    return np.abs((b1 - b0 + 180.0) % 360.0 - 180.0) > threshold
 
 
 def turn_pattern(route: Route, g: MapGraph, threshold: float = DEFAULT_TURN_THRESHOLD) -> TurnPattern:
@@ -460,16 +468,9 @@ def turn_pattern(route: Route, g: MapGraph, threshold: float = DEFAULT_TURN_THRE
     i+1 exceeds ``threshold`` degrees.  Bearings come from location
     positions, not stored headings.
     """
-    m = len(route)
-    if m < 2:
-        raise ValueError(f"route must have at least 2 locations, got {m}")
-    pos = [g.location(i).position for i in route]
-    bearings = [bearing_deg(pos[i], pos[i + 1]) for i in range(m - 1)]
-    bits = [0] * (m - 1)
-    for i in range(1, m - 1):
-        if angle_difference(bearings[i], bearings[i - 1]) > threshold:
-            bits[i] = 1
-    return tuple(bits)
+    if len(route) < 2:
+        raise ValueError(f"route must have at least 2 locations, got {len(route)}")
+    return tuple(turn_pattern_matrix(np.asarray([route]), g, threshold)[0].tolist())
 
 
 def turn_pattern_matrix(route_matrix: np.ndarray, g: MapGraph,
@@ -485,10 +486,6 @@ def turn_pattern_matrix(route_matrix: np.ndarray, g: MapGraph,
         raise ValueError("route matrix must be (R, m) with m >= 2")
     rows = g.rows_of(rm.ravel()).reshape(rm.shape)
     p = g.position_array[rows]                      # (R, m, 2)
-    seg = p[:, 1:] - p[:, :-1]                      # (R, m-1, 2)
-    b = np.degrees(np.arctan2(seg[..., 1], seg[..., 0])) % 360.0
     bits = np.zeros((rm.shape[0], rm.shape[1] - 1), dtype=np.uint8)
-    if rm.shape[1] > 2:
-        delta = np.abs((b[:, 1:] - b[:, :-1] + 180.0) % 360.0 - 180.0)
-        bits[:, 1:] = (delta > threshold).astype(np.uint8)
+    bits[:, 1:] = turn_bits(p[:, :-2], p[:, 1:-1], p[:, 2:], threshold)
     return bits

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from routeloc import DescriptorStore, enumerate_routes, load_graph, turn_pattern
+from routeloc import DescriptorStore, WorldViews, enumerate_routes, load_graph, turn_pattern
 from routeloc.cli import main
 
 
@@ -82,6 +82,21 @@ class TestEmbedCommands:
         image_store = DescriptorStore.load(pipeline["image_store"])
         np.testing.assert_array_equal(map_store.ids, image_store.ids)
         assert not np.allclose(map_store.vectors, image_store.vectors)
+
+
+    def test_export_honours_seed_zero(self, pipeline, tmp_path):
+        # The encoders were trained on views with seed 1, which export uses
+        # by default; an explicit --seed 0 must not fall back to it.
+        def export(*seed):
+            out = tmp_path / f"seed{'-'.join(seed) or '-default'}"
+            assert main(["embed", "export", "--graph", str(pipeline["graph"]),
+                         "--encoders", str(pipeline["encoders"]), *seed,
+                         "--out", str(out)]) == 0
+            return DescriptorStore.load(out / "map.emb").vectors
+
+        default = export()
+        np.testing.assert_array_equal(default, export("--seed", "1"))
+        assert not np.allclose(default, export("--seed", "0"))
 
 
 class TestEvalCommands:
@@ -225,6 +240,22 @@ class TestBenchCommands:
         ])
         assert ret == 2
         assert "error[config]: unknown method" in capsys.readouterr().err
+
+    def test_sweep_views_follow_seed(self, pipeline, tmp_path, monkeypatch):
+        seeds = []
+        from_graph = WorldViews.from_graph
+
+        def spy(g, seed=0, **kwargs):
+            seeds.append(seed)
+            return from_graph(g, seed=seed, **kwargs)
+
+        monkeypatch.setattr(WorldViews, "from_graph", spy)
+        assert main([
+            "bench", "sweep", "--graph", str(pipeline["graph"]),
+            "--methods", "T-only", "--routes", "2", "--max-length", "5",
+            "--seed", "7", "--out", str(tmp_path),
+        ]) == 0
+        assert seeds == [7]
 
     def test_simulation_failure(self, tmp_path, capsys):
         world = tmp_path / "tiny"

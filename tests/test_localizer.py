@@ -4,10 +4,14 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from routeloc import (
     DescriptorStore,
+    Location,
     LocalizerConfig,
+    MapGraph,
     SyntheticWorldConfig,
     advance_candidates,
     check_success,
@@ -27,6 +31,37 @@ DIM = 4
 def make_store(g, seed=0):
     rng = np.random.default_rng(seed)
     return DescriptorStore(g.id_array, rng.normal(0.0, 1.0, (len(g), DIM)))
+
+
+@st.composite
+def tie_heavy_searches(draw):
+    """A small random graph with 1-D integer descriptors, a query and turn bits.
+
+    Distances are then small integers, so many candidates tie.  The turn bits
+    are those of a real route half the time, so that some candidates survive.
+    """
+    n = draw(st.integers(3, 7))
+    cells = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
+                          min_size=n, max_size=n, unique=True))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True, min_size=n - 1, max_size=2 * n))
+    nbrs = {i: set() for i in range(n)}
+    for i, j in edges:
+        nbrs[i].add(j)
+        nbrs[j].add(i)
+    g = MapGraph([Location(i, (10.0 * cells[i][0], 10.0 * cells[i][1]), 0.0,
+                           tuple(sorted(nbrs[i]))) for i in range(n)])
+    ints = st.integers(0, 2)
+    store = DescriptorStore(g.id_array, np.array(draw(st.lists(ints, min_size=n, max_size=n)),
+                                                 dtype=np.float64)[:, None])
+    m = draw(st.integers(2, 4))
+    query = np.array(draw(st.lists(ints, min_size=m, max_size=m)), dtype=np.float64)[:, None]
+    routes = sorted(enumerate_routes(g, m))
+    if routes and draw(st.booleans()):
+        turns = turn_pattern(draw(st.sampled_from(routes)), g)
+    else:
+        turns = tuple(draw(st.lists(st.integers(0, 1), min_size=m - 1, max_size=m - 1)))
+    return g, store, query, turns
 
 
 def oracle_ranking(query, routes, store, graph=None, turns=None, threshold=30.0):
@@ -50,7 +85,6 @@ class TestConfig:
             dict(cull_fraction=1.0),
             dict(cull_floor=0),
             dict(top_k=0),
-            dict(turn_filter_mode="sometimes"),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -186,27 +220,27 @@ class TestStepping:
                              graph=tee_graph, turns=turns, cfg=cfg)
         assert state.ranked() == want
 
-    def test_final_mode_matches_step_mode_without_cull(self, tee_graph):
-        store = make_store(tee_graph, seed=13)
-        q = np.random.default_rng(14).normal(0, 1, (3, DIM))
-        turns = turn_pattern((2, 1, 3), tee_graph)
-        step = self.run_chain(tee_graph, store, q,
-                              LocalizerConfig(use_turns=True), turns)
-        final = self.run_chain(tee_graph, store, q,
-                               LocalizerConfig(use_turns=True,
-                                               turn_filter_mode="final"), turns)
-        # "final" carries incompatible candidates along as ineligible...
-        assert final.size > step.size
-        # ...but the eligible ranking is identical.
-        assert final.ranked() == step.ranked()
+    @given(tie_heavy_searches())
+    @settings(max_examples=150, deadline=None)
+    def test_stepped_turn_search_equals_full_search(self, search):
+        g, store, q, turns = search
+        cfg = LocalizerConfig(use_turns=True)
+        state = self.run_chain(g, store, q, cfg, turns=turns)
+        want = localize_full(q, enumerate_routes(g, len(q)), store, graph=g,
+                             turns=turns, cfg=cfg)
+        assert state.ranked() == want
+        assert state.top(3) == want[:3]
 
     def test_top_matches_ranked_prefix(self):
         g = generate_synthetic_world(SyntheticWorldConfig(node_count=30, seed=32))
         store = make_store(g, seed=15)
         q = np.random.default_rng(16).normal(0, 1, (3, DIM))
         state = self.run_chain(g, store, q, LocalizerConfig())
-        for k in (1, 5, 17, state.size + 10):
-            assert state.top(k) == state.ranked(top_k=k)
+        full = state.ranked()
+        assert len(full) == state.size
+        for k in (0, 1, 5, 17, state.size + 10):
+            assert state.top(k) == full[:k]
+            assert state.ranked(top_k=k) == full[:k]
 
     def test_exclusions_respected(self, tee_graph):
         store = make_store(tee_graph, seed=17)
@@ -215,7 +249,7 @@ class TestStepping:
         state = start_candidates(tee_graph, store.cost_vector(q[0], tee_graph.id_array),
                                  ("tunnel",), cfg)
         state = localize_step(state, q[1], None, tee_graph, store, cfg)
-        visited = {loc for route, _, _ in state.entries for loc in route}
+        visited = {loc for route, _ in state.ranked() for loc in route}
         assert 2 not in visited
         want = localize_full(q, enumerate_routes(tee_graph, 2, ("tunnel",)), store)
         assert state.ranked() == want
@@ -244,6 +278,21 @@ class TestStepping:
         with pytest.raises(ValueError, match="one entry per location"):
             start_candidates(path_graph, np.zeros(4))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_start_rejects_non_finite_costs(self, path_graph, bad):
+        costs = np.zeros(5)
+        costs[2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            start_candidates(path_graph, costs)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_advance_rejects_non_finite_costs(self, path_graph, bad):
+        state = start_candidates(path_graph, np.zeros(5))
+        costs = np.zeros(5)
+        costs[0] = bad
+        with pytest.raises(ValueError, match="finite"):
+            advance_candidates(state, costs)
+
 
 class TestCulling:
     def test_keep_count(self, path_graph):
@@ -251,7 +300,7 @@ class TestCulling:
         state = start_candidates(path_graph, [0.5, 0.1, 0.4, 0.2, 0.3], (), cfg)
         # n=5: drop ceil(0.3 * 5) = 2, keep 3 (floor of 2 does not bind).
         assert state.size == 3
-        kept = {route[0] for route, _, _ in state.entries}
+        kept = {route[0] for route, _ in state.ranked()}
         assert kept == {1, 3, 4}
 
     def test_floor_binds(self, path_graph):
@@ -269,7 +318,7 @@ class TestCulling:
         # keep 3 of 5; the three cost-1 candidates tie at the boundary and
         # ids 1 and 2 win over 3.
         state = start_candidates(path_graph, [5.0, 1.0, 1.0, 1.0, 0.0], (), cfg)
-        kept = {route[0] for route, _, _ in state.entries}
+        kept = {route[0] for route, _ in state.ranked()}
         assert kept == {4, 1, 2}
 
     def test_cull_during_advance(self):

@@ -10,13 +10,13 @@ from routeloc import (
     Location,
     MapGraph,
     TAG_NAMES,
-    angle_difference,
     bearing_deg,
     enumerate_routes,
     extend_routes,
     load_graph,
     save_graph,
     turn_pattern,
+    turn_bits,
     turn_pattern_matrix,
 )
 from conftest import brute_force_routes
@@ -335,11 +335,30 @@ class TestTurnPatterns:
         assert bearing_deg(origin, (-1.0, 0.0)) == pytest.approx(180.0)
         assert bearing_deg(origin, (0.0, -1.0)) == pytest.approx(270.0)
 
-    def test_angle_difference_wraps(self):
-        assert angle_difference(350.0, 10.0) == pytest.approx(20.0)
-        assert angle_difference(10.0, 350.0) == pytest.approx(20.0)
-        assert angle_difference(180.0, 0.0) == pytest.approx(180.0)
-        assert angle_difference(90.0, 90.0) == 0.0
+    def test_turn_bits_wrap_and_reversal(self):
+        def walk(b0, b1):
+            # a -> b heads along bearing b0, b -> c along bearing b1.
+            a = np.zeros(2)
+            b = a + [math.cos(math.radians(b0)), math.sin(math.radians(b0))]
+            c = b + [math.cos(math.radians(b1)), math.sin(math.radians(b1))]
+            return a, b, c
+
+        # 350 -> 10 degrees is a 20 degree change, not a turn at 30...
+        for b0, b1 in [(350.0, 10.0), (10.0, 350.0)]:
+            assert not turn_bits(*walk(b0, b1), threshold=30.0)
+            assert turn_bits(*walk(b0, b1), threshold=19.9)
+            assert not turn_bits(*walk(b0, b1), threshold=20.0 + 1e-9)
+        # ...a reversal is 180 degrees, and going straight is 0.
+        assert turn_bits(*walk(0.0, 180.0), threshold=179.9)
+        assert not turn_bits(*walk(0.0, 180.0), threshold=180.0)
+        assert not turn_bits(*walk(90.0, 90.0), threshold=0.0)
+
+    def test_turn_bits_broadcast(self):
+        # One incoming segment against three outgoing ones.
+        a, b = np.array([0.0, 0.0]), np.array([1.0, 0.0])
+        c = np.array([[2.0, 0.0], [1.0, 1.0], [1.0, -1.0]])
+        np.testing.assert_array_equal(turn_bits(a, b, c), [False, True, True])
+        assert turn_bits(a[None, None], b[None, None], c[None]).shape == (1, 3)
 
     def test_straight_route_is_all_zeros(self, path_graph):
         assert turn_pattern((0, 1, 2, 3, 4), path_graph) == (0, 0, 0, 0)
@@ -388,10 +407,25 @@ class TestTurnPatterns:
         assert rev[1:] == fwd[1:][::-1]
 
     def test_matrix_agrees_with_scalar(self, tee_graph):
-        routes = sorted(enumerate_routes(tee_graph, 3))
-        mat = turn_pattern_matrix(np.array(routes), tee_graph)
-        for row, route in zip(mat, routes):
-            assert tuple(int(b) for b in row) == turn_pattern(route, tee_graph)
+        def loop_pattern(route, g, threshold=30.0):
+            # Scalar reference: per-segment bearings, wrapped differences.
+            pos = [g.location(i).position for i in route]
+            bearings = [bearing_deg(pos[i], pos[i + 1]) for i in range(len(route) - 1)]
+            return (0,) + tuple(
+                int(abs((b1 - b0 + 180.0) % 360.0 - 180.0) > threshold)
+                for b0, b1 in zip(bearings, bearings[1:])
+            )
+
+        rng = np.random.default_rng(3)
+        pts = rng.uniform(0.0, 50.0, size=(9, 2))
+        locs = [Location(i, (float(pts[i, 0]), float(pts[i, 1])), 0.0,
+                         tuple(j for j in range(9) if j != i)) for i in range(9)]
+        for g, m in [(tee_graph, 3), (MapGraph(locs), 4)]:
+            routes = sorted(enumerate_routes(g, m))
+            mat = turn_pattern_matrix(np.array(routes), g)
+            for row, route in zip(mat, routes):
+                assert tuple(int(b) for b in row) == loop_pattern(route, g)
+                assert turn_pattern(route, g) == loop_pattern(route, g)
 
     def test_matrix_m2_is_zero_column(self, tee_graph):
         routes = sorted(enumerate_routes(tee_graph, 2))
