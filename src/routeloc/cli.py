@@ -24,7 +24,7 @@ from .embedding import (
     encode_batch,
     train_encoders,
 )
-from .localizer import LocalizerConfig, localize_full, write_ranked_csv
+from .localizer import LocalizerConfig, advance_candidates, start_candidates, write_ranked_csv
 from .retrieval import distance_histograms, precision_recall_curve, topk_percent_recall
 from .store import DescriptorStore, StoreFormatError
 from .synth import SyntheticWorldConfig, generate_synthetic_world
@@ -103,7 +103,7 @@ def build_parser() -> argparse.ArgumentParser:
     # localize ----------------------------------------------------------
     loc = sub.add_parser("localize", help="rank candidate routes for one query")
     lsub = loc.add_subparsers(dest="action", required=True)
-    run = lsub.add_parser("run", help="full-search localization of one query sequence")
+    run = lsub.add_parser("run", help="rank every route that fits one query sequence")
     run.add_argument("--graph", required=True)
     run.add_argument("--store", required=True, help="map-side descriptor store")
     run.add_argument("--query", required=True,
@@ -281,8 +281,6 @@ def _cmd_eval_pr(args):
 
 
 def _cmd_localize_run(args):
-    from .world import enumerate_routes
-
     g = load_graph(args.graph)
     store = DescriptorStore.load(args.store)
     qstore = DescriptorStore.load(args.query)
@@ -290,14 +288,19 @@ def _cmd_localize_run(args):
     expected = np.arange(m)
     if not np.array_equal(qstore.ids, expected):
         raise ValueError("query store ids must be 0..m-1 (the query order)")
-    query = qstore.vectors
     exclusions = tuple(t for t in args.exclude.split(",") if t)
-    turns = None
-    if args.turns:
-        turns = tuple(int(b) for b in args.turns.split(","))
+    turns = [int(b) for b in args.turns.split(",")] if args.turns else None
+    bits = [None] * (m - 1)
+    if args.use_turns and turns is not None:
+        if len(turns) != m - 1 or not set(turns) <= {0, 1}:
+            raise ValueError(f"turn pattern must be {m - 1} bits of 0 or 1, got {args.turns}")
+        bits = turns
     cfg = LocalizerConfig(use_turns=args.use_turns, top_k=args.top_k)
-    routes = enumerate_routes(g, m, exclusions)
-    ranked = localize_full(query, routes, store, graph=g, turns=turns, cfg=cfg)
+    costs = [store.cost_vector(q, g.id_array) for q in qstore.vectors]
+    state = start_candidates(g, costs[0], exclusions, cfg)
+    for cost, bit in zip(costs[1:], bits):
+        state = advance_candidates(state, cost, bit, cfg)
+    ranked = state.ranked(cfg.top_k)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "ranked.csv")
     write_ranked_csv(path, ranked)

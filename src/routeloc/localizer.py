@@ -2,14 +2,25 @@
 
 A query route is an ordered sequence of descriptors.  Its distance to a
 candidate route is the sum of per-position Euclidean descriptor distances.
-``localize_full`` ranks a precomputed candidate set; ``localize_step``
-maintains candidates incrementally, one observation at a time, extending
-each candidate by its legal next locations, optionally filtering on turn
-bits and culling the worst candidates per step.
+``localize_full`` ranks a given list of routes in one batch and is the
+reference the incremental search is checked against.
+
+The incremental search (``start_candidates``, ``advance_candidates``)
+keeps one observation per step.  Its candidates are nodes of a
+``RouteTree``: every self-avoiding route over the allowed locations, with
+each node's legal extensions stored as a contiguous block of children,
+ascending by row, and the turn bit of each node's last segment.  None of
+this depends on the query, so the tree is built on demand, once per
+(graph, exclusions, turn threshold), and cached on the graph: it is shared
+by every query and freed with the graph.  A step gathers the children of
+the current frontier, adds their costs, drops children whose turn bit
+disagrees with the query's, and culls the worst candidates.  Only frontier
+nodes that no earlier query reached are expanded.
 
 Ranking is deterministic: ties in distance break lexicographically on the
-location-id sequence.  An empty result (for example after turn filtering)
-is a valid "no candidates" outcome, not an error.
+location-id sequence.  The frontier is always kept in lexicographic route
+order, so a tie breaks by frontier position.  An empty result (for example
+after turn filtering) is a valid "no candidates" outcome, not an error.
 """
 from __future__ import annotations
 
@@ -26,11 +37,20 @@ from .world import (
     MapGraph,
     Route,
     TurnPattern,
+    bearing_turns,
+    segment_bearings,
     turn_bits,
     turn_pattern_matrix,
 )
 
 RouteDescriptor = np.ndarray  # (m, dim) query descriptors, one per position
+
+# Most frontier nodes one call to RouteTree.expand takes.
+_EXPAND_CHUNK = 4096
+# A frontier whose routes hold at most this many locations in all (n * m)
+# carries them from step to step; a larger one rebuilds routes from its
+# steps when an expansion or a ranking needs them.
+_CARRY_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -64,28 +84,130 @@ def route_distance(query: RouteDescriptor, candidate: RouteDescriptor) -> float:
     return total
 
 
-class CandidateSet:
-    """Partial candidate routes with accumulated cost, in graph row space.
+class RouteTree:
+    """Every route over one graph's allowed locations, as a tree grown on demand.
 
-    Candidates are stored as arrays for vectorized stepping.  The exclusion
-    tag set is fixed at start time and applied to every extension.
+    Node i stands for one route (a walk that never revisits a location);
+    ``row[i]`` is the graph row of its last location.  The roots, nodes
+    0 .. roots-1, are the allowed locations in ascending row order.
+    ``first[i] < 0`` marks a node not yet expanded.  An expanded node's
+    children are nodes ``first[i] .. first[i] + count[i] - 1``: its legal
+    one-location extensions, ascending by row.  ``bit[i]`` is the turn bit
+    of a node's last segment under ``threshold`` (0 for routes of one or
+    two locations).
+
+    Nothing here depends on a query, so one tree serves every search over
+    the graph with the same exclusions and threshold (see ``route_tree``).
+    The tree keeps no parent pointers: expanding a node needs its whole
+    route, which the candidate set that reached the node supplies.  It holds
+    the graph's index arrays but not the graph, so the graph's cache of
+    trees makes no reference cycle.
     """
 
-    def __init__(self, graph: MapGraph, rows: np.ndarray, dists: np.ndarray,
-                 exclusions: frozenset, allowed: np.ndarray):
-        self.graph = graph
-        self._rows = rows
-        self._dists = dists
+    def __init__(self, g: MapGraph, exclusions: frozenset, threshold: float):
         self.exclusions = exclusions
-        self._allowed = allowed
+        self.threshold = threshold
+        allowed = g.allowed_mask(exclusions)
+        nbr = g.neighbor_rows
+        # Legal next rows of each row, ascending; -1 marks a pad or an excluded row.
+        self.neighbors = np.where(allowed[nbr] & (nbr >= 0), nbr, -1)
+        # bearings[r, j]: bearing of the segment from row r to its j-th neighbor.
+        p = g.position_array
+        self.bearings = segment_bearings(p[:, None], p[np.where(nbr >= 0, nbr, 0)])
+        roots = np.nonzero(allowed)[0]
+        self.roots = self.size = len(roots)
+        # Rows and child counts in the narrowest type the graph allows.
+        self.row = roots.astype(np.int16 if len(g) <= 2 ** 15 else np.int32)
+        self.first = np.full(self.size, -1, dtype=np.int32)
+        self.count = np.zeros(self.size, dtype=np.min_scalar_type(nbr.shape[1]))
+        self.bit = np.zeros(self.size, dtype=bool)
+
+    def expand(self, nodes: np.ndarray, walks: np.ndarray) -> None:
+        """Append the children of ``nodes``, whose routes are the rows of ``walks``."""
+        last = walks[:, -1]
+        nbr = self.neighbors[last]
+        ok = (nbr >= 0) & ~(walks[:, None, :] == nbr[:, :, None]).any(axis=2)
+        counts = ok.sum(axis=1)
+        start, end = self.size, self.size + int(counts.sum())
+        self._reserve(end)
+        self.first[nodes] = start + np.cumsum(counts) - counts
+        self.count[nodes] = counts
+        self.size = end
+        self.row[start:end] = nbr[ok]
+        self.first[start:end] = -1
+        if walks.shape[1] == 1:
+            self.bit[start:end] = False                     # the first step carries no turn
+        else:
+            # Where last sits among prev's neighbors: adjacency is symmetric.
+            prev = walks[:, -2]
+            into = (self.neighbors[prev] == last[:, None]).argmax(axis=1)
+            turns = bearing_turns(self.bearings[prev, into, None], self.bearings[last],
+                                  self.threshold)
+            self.bit[start:end] = turns[ok]
+
+    def _reserve(self, n: int) -> None:
+        """Make room for n nodes, doubling capacity.
+
+        Fields are copied one at a time and each old copy is released before
+        the next field grows, so a growth step never holds two copies of
+        the whole tree.
+        """
+        if n <= len(self.first):
+            return
+        cap = max(n, 2 * len(self.first))
+        for name in ("row", "first", "count", "bit"):
+            old = getattr(self, name)
+            new = np.empty(cap, dtype=old.dtype)
+            new[:self.size] = old[:self.size]
+            setattr(self, name, new)
+            del old, new
+
+
+def route_tree(g: MapGraph, exclusions: Iterable[str] = (),
+               threshold: float = DEFAULT_TURN_THRESHOLD) -> RouteTree:
+    """The graph's route tree for these exclusions and turn threshold, built once.
+
+    The tree is cached on the graph, so it is shared by every search over
+    that graph and freed with it.
+    """
+    key = (frozenset(exclusions), float(threshold))
+    tree = g._route_trees.get(key)
+    if tree is None:
+        tree = g._route_trees[key] = RouteTree(g, *key)
+    return tree
+
+
+class CandidateSet:
+    """Candidate routes of one length: a frontier of route-tree nodes and distances.
+
+    ``_steps[t]`` holds the frontier after observation t+1 as (nodes, src):
+    tree node ids, and for each node the position of its parent in the
+    frontier before it (None at the first step).  Every frontier lists its
+    routes in lexicographic order, so among equal distances the earlier
+    position ranks first.  A small frontier also carries its routes as an
+    (n, m) row matrix, ``_carried``; a large one rebuilds routes from the
+    steps only for the nodes an expansion or a ranking asks for.
+    """
+
+    def __init__(self, graph: MapGraph, tree: RouteTree, steps: tuple, dists: np.ndarray,
+                 carried: np.ndarray | None):
+        self.graph = graph
+        self.tree = tree
+        self._steps = steps
+        self._dists = dists
+        self._carried = carried
+
+    @property
+    def exclusions(self) -> frozenset:
+        return self.tree.exclusions
 
     @property
     def length_m(self) -> int:
-        return self._rows.shape[1]
+        return len(self._steps)
 
     @property
     def size(self) -> int:
-        return self._rows.shape[0]
+        return len(self._dists)
 
     def ranked(self, top_k: int | None = None) -> list:
         """Full (route, distance) ranking of the candidates, cut to ``top_k`` if set."""
@@ -93,18 +215,35 @@ class CandidateSet:
 
     def top(self, k: int) -> list:
         """First k of the ranking, via partial selection."""
-        sel = _select_smallest(self._rows, self._dists, k)
-        return rank_matrix(self.graph.id_array[self._rows[sel]], self._dists[sel], None)
+        sel = _smallest(self._dists, k)
+        sel = sel[np.argsort(self._dists[sel], kind="stable")]
+        ids = self.graph.id_array[self._walks(sel)]
+        return list(zip(map(tuple, ids.tolist()), self._dists[sel].tolist()))
+
+    def _walks(self, idx: np.ndarray) -> np.ndarray:
+        """(len(idx), m) graph rows of the routes at frontier positions ``idx``."""
+        if self._carried is not None:
+            return self._carried[idx]
+        path = np.empty((self.length_m, len(idx)), dtype=np.int32)
+        for t in range(self.length_m - 1, 0, -1):
+            nodes, src = self._steps[t]
+            path[t] = nodes[idx]
+            idx = src[idx]
+        path[0] = self._steps[0][0][idx]
+        return self.tree.row[path.T]
 
 
 def start_candidates(g: MapGraph, costs, exclusions: Iterable[str] = (),
                      cfg: LocalizerConfig = LocalizerConfig()) -> CandidateSet:
     """Length-1 candidate set: every non-excluded location, seeded with its cost."""
     costs = _check_costs(g, costs)
-    excl = frozenset(exclusions)
-    allowed = g.allowed_mask(excl)
-    rows = np.nonzero(allowed)[0].astype(np.int32)[:, None]
-    return _cull(CandidateSet(g, rows, costs[rows[:, 0]], excl, allowed), cfg)
+    tree = route_tree(g, exclusions, cfg.turn_threshold)
+    nodes = np.arange(tree.roots, dtype=np.int32)
+    dists = costs[tree.row[nodes]]
+    keep = _survivors(dists, cfg)
+    nodes, dists = nodes[keep], dists[keep]
+    carried = tree.row[nodes, None] if len(nodes) <= _CARRY_LIMIT else None
+    return CandidateSet(g, tree, ((nodes, None),), dists, carried)
 
 
 def advance_candidates(state: CandidateSet, costs, next_turn_bit=None,
@@ -117,33 +256,39 @@ def advance_candidates(state: CandidateSet, costs, next_turn_bit=None,
     worst ceil(cull_fraction * n) candidates by cumulative distance are
     culled, never dropping below ``cull_floor`` survivors.
     """
-    g = state.graph
-    costs = _check_costs(g, costs)
-    rows = state._rows
-    n, m = rows.shape
-    if n == 0:
-        empty = np.empty((0, m + 1), dtype=np.int32)
-        return CandidateSet(g, empty, np.empty(0), state.exclusions, state._allowed)
-
-    nbr = g.neighbor_rows[rows[:, -1]]                     # (n, deg) row indices, -1 pads
-    ok = nbr >= 0
-    nb_safe = np.where(ok, nbr, 0)
-    ok &= state._allowed[nb_safe]
-    ok &= ~(rows[:, None, :] == nb_safe[:, :, None]).any(axis=2)
-
+    costs = _check_costs(state.graph, costs)
+    tree = state.tree
+    nodes = state._steps[-1][0]
+    first = tree.first[nodes]
+    fresh = np.nonzero(first < 0)[0]
+    if len(fresh):
+        # In chunks, so that a cold step's temporaries stay small.
+        for i in range(0, len(fresh), _EXPAND_CHUNK):
+            part = fresh[i:i + _EXPAND_CHUNK]
+            tree.expand(nodes[part], state._walks(part))
+        first = tree.first[nodes]
+    counts = tree.count[nodes]
+    src = np.repeat(np.arange(len(nodes), dtype=np.int32), counts)
+    child = np.arange(len(src), dtype=np.int32) + np.repeat(
+        first - np.cumsum(counts, dtype=np.int32) + counts, counts)
     if cfg.use_turns and next_turn_bit is not None:
-        if m == 1:
-            bits = np.zeros(nbr.shape, dtype=bool)          # first step carries no turn
+        if cfg.turn_threshold == tree.threshold or state.length_m == 1:
+            bits = tree.bit[child]
         else:
-            p = g.position_array
-            bits = turn_bits(p[rows[:, -2], None], p[rows[:, -1], None], p[nb_safe],
-                             cfg.turn_threshold)
-        ok &= bits == bool(next_turn_bit)
-
-    ci, si = np.nonzero(ok)
-    new_rows = np.concatenate([rows[ci], nbr[ci, si][:, None]], axis=1)
-    new_dists = state._dists[ci] + costs[nbr[ci, si]]
-    return _cull(CandidateSet(g, new_rows, new_dists, state.exclusions, state._allowed), cfg)
+            # A threshold other than the tree's: compute the bits from geometry.
+            p = state.graph.position_array
+            before = state._steps[-2][0][state._steps[-1][1]]
+            bits = turn_bits(p[tree.row[before[src]]], p[tree.row[nodes[src]]],
+                             p[tree.row[child]], cfg.turn_threshold)
+        keep = bits == bool(next_turn_bit)
+        child, src = child[keep], src[keep]
+    dists = state._dists[src] + costs[tree.row[child]]
+    keep = _survivors(dists, cfg)
+    child, src, dists = child[keep], src[keep], dists[keep]
+    carried = None
+    if state._carried is not None and len(child) * (state.length_m + 1) <= _CARRY_LIMIT:
+        carried = np.concatenate([state._carried[src], tree.row[child, None]], axis=1)
+    return CandidateSet(state.graph, tree, state._steps + ((child, src),), dists, carried)
 
 
 def localize_step(state: CandidateSet, next_query, next_turn_bit, g: MapGraph,
@@ -170,6 +315,8 @@ def localize_full(query: RouteDescriptor, routes, store: DescriptorStore,
     q = np.asarray(query, dtype=np.float64)
     if q.ndim != 2:
         raise ValueError(f"query must be (m, dim), got shape {q.shape}")
+    if not np.isfinite(q).all():
+        raise ValueError("query descriptors must be finite")
     matrix = route_matrix(routes, q.shape[0], graph, turns, cfg)
     dists = np.zeros(len(matrix), dtype=np.float64)
     for i in range(q.shape[0]):
@@ -244,21 +391,17 @@ def _lex_order(rows: np.ndarray, dists: np.ndarray) -> np.ndarray:
     return np.lexsort(keys)
 
 
-def _select_smallest(rows: np.ndarray, dists: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest candidates under (distance, lexicographic) order."""
+def _smallest(dists: np.ndarray, k: int) -> np.ndarray:
+    """Ascending positions of the k smallest distances, ties going to earlier positions."""
     n = len(dists)
     if k >= n:
         return np.arange(n)
     if k < 1:
         return np.arange(0)
-    part = np.argpartition(dists, k - 1)[:k]
-    boundary = dists[part].max()
-    strict = np.nonzero(dists < boundary)[0]
-    need = k - len(strict)
-    tied = np.nonzero(dists == boundary)[0]
-    if len(tied) > need:
-        tied = tied[_lex_order(rows[tied], dists[tied])[:need]]
-    return np.concatenate([strict, tied])
+    boundary = np.partition(dists, k - 1)[k - 1]
+    keep = dists < boundary
+    keep[np.nonzero(dists == boundary)[0][:k - np.count_nonzero(keep)]] = True
+    return np.nonzero(keep)[0]
 
 
 def _check_costs(g: MapGraph, costs) -> np.ndarray:
@@ -270,13 +413,10 @@ def _check_costs(g: MapGraph, costs) -> np.ndarray:
     return costs
 
 
-def _cull(state: CandidateSet, cfg: LocalizerConfig) -> CandidateSet:
-    n = state.size
+def _survivors(dists: np.ndarray, cfg: LocalizerConfig):
+    """Positions that survive the cull, ascending; a full slice when none is culled."""
+    n = len(dists)
     if cfg.cull_fraction <= 0.0 or n <= cfg.cull_floor:
-        return state
+        return slice(None)
     keep_n = max(cfg.cull_floor, n - math.ceil(cfg.cull_fraction * n))
-    if keep_n >= n:
-        return state
-    sel = _select_smallest(state._rows, state._dists, keep_n)
-    return CandidateSet(state.graph, state._rows[sel], state._dists[sel],
-                        state.exclusions, state._allowed)
+    return slice(None) if keep_n >= n else _smallest(dists, keep_n)

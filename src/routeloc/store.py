@@ -33,6 +33,8 @@ class DescriptorStore:
             raise ValueError("descriptor store cannot be empty")
         if np.any(ids < 0):
             raise ValueError("descriptor ids must be non-negative")
+        if not np.isfinite(vectors).all():
+            raise ValueError("descriptor vectors must be finite")
         order = np.argsort(ids, kind="stable")
         ids = ids[order]
         if np.any(ids[1:] == ids[:-1]):
@@ -133,6 +135,10 @@ class DescriptorStore:
                 f"got {len(body)} bytes"
             )
         rec = np.frombuffer(body, dtype=rec_dtype)
+        bad = ~np.isfinite(rec["v"]).all(axis=1)
+        if bad.any():
+            i = int(np.argmax(bad))
+            raise StoreFormatError(f"{path}: record {i} (id {rec['id'][i]}) is not finite")
         return cls(rec["id"].astype(np.int64), rec["v"].astype(np.float64))
 
     @classmethod
@@ -159,6 +165,8 @@ class DescriptorStore:
                     vecs.append([float(x) for x in row[1:]])
                 except ValueError as exc:
                     raise StoreFormatError(f"{path}, line {lineno}: {exc}") from None
+                if not np.isfinite(vecs[-1]).all():
+                    raise StoreFormatError(f"{path}, line {lineno}: values must be finite")
         if not ids:
             raise StoreFormatError(f"{path}: no descriptor rows")
         return cls(np.array(ids), np.array(vecs))

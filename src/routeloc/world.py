@@ -86,6 +86,8 @@ class MapGraph:
         self._locs = dict(sorted(locs.items()))
         self.spacing = self._mean_edge_length()
         self._index_built = False
+        # Route trees derived from this graph (see localizer.route_tree).
+        self._route_trees = {}
         if validate:
             self.validate()
 
@@ -195,7 +197,7 @@ class MapGraph:
         tags = np.zeros((n, len(TAG_NAMES)), dtype=bool)
         for r, loc in enumerate(self._locs.values()):
             pos[r] = loc.position
-            for j, nb in enumerate(loc.neighbors):
+            for j, nb in enumerate(sorted(loc.neighbors)):
                 nbr[r, j] = row_of[nb]
             for t, name in enumerate(TAG_NAMES):
                 if name in loc.tags:
@@ -221,7 +223,7 @@ class MapGraph:
 
     @property
     def neighbor_rows(self) -> np.ndarray:
-        """Padded adjacency in row indices, shape (N, max_degree); -1 pads."""
+        """Padded adjacency in row indices, ascending, shape (N, max_degree); -1 pads."""
         self._build_index()
         return self._nbr
 
@@ -300,8 +302,9 @@ def save_graph(g: MapGraph, path) -> None:
 def load_graph(path) -> MapGraph:
     """Parse a graph file and validate invariants.
 
-    Raises GraphFormatError with line context for malformed records and
-    GraphInvariantError (naming the offending id) for structural violations.
+    Raises GraphFormatError with line context for malformed records,
+    non-finite numbers among them, and GraphInvariantError (naming the
+    offending id) for structural violations.
     """
     nodes: dict[int, tuple] = {}
     edges: set[tuple[int, int]] = set()
@@ -321,6 +324,8 @@ def load_graph(path) -> MapGraph:
                     if nid in nodes:
                         raise ValueError(f"duplicate node record for id {nid}")
                     x, y, heading = float(parts[2]), float(parts[3]), float(parts[4])
+                    if not all(map(math.isfinite, (x, y, heading))):
+                        raise ValueError("position and heading must be finite")
                     tags = frozenset() if parts[5] == "-" else frozenset(parts[5].split(","))
                     unknown = tags - set(TAG_NAMES)
                     if unknown:
@@ -342,7 +347,10 @@ def load_graph(path) -> MapGraph:
                     nid = int(parts[1])
                     if nid in latents:
                         raise ValueError(f"duplicate latent record for id {nid}")
-                    latents[nid] = np.array([float(v) for v in parts[2:]], dtype=np.float64)
+                    values = [float(v) for v in parts[2:]]
+                    if not all(map(math.isfinite, values)):
+                        raise ValueError("latent values must be finite")
+                    latents[nid] = np.array(values, dtype=np.float64)
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")
             except GraphInvariantError:
@@ -453,10 +461,17 @@ def turn_bits(a, b, c, threshold: float = DEFAULT_TURN_THRESHOLD) -> np.ndarray:
     A bit is set iff the bearing of b -> c differs from that of a -> b by
     more than ``threshold`` degrees, the difference wrapped into [0, 180].
     """
-    u = np.asarray(b) - np.asarray(a)
-    v = np.asarray(c) - np.asarray(b)
-    b0 = np.degrees(np.arctan2(u[..., 1], u[..., 0]))
-    b1 = np.degrees(np.arctan2(v[..., 1], v[..., 0]))
+    return bearing_turns(segment_bearings(a, b), segment_bearings(b, c), threshold)
+
+
+def segment_bearings(a, b) -> np.ndarray:
+    """Bearings in degrees, in [-180, 180], of the segments a -> b over (..., 2) positions."""
+    d = np.asarray(b) - np.asarray(a)
+    return np.degrees(np.arctan2(d[..., 1], d[..., 0]))
+
+
+def bearing_turns(b0, b1, threshold: float = DEFAULT_TURN_THRESHOLD) -> np.ndarray:
+    """Turn bits between segments of bearings b0 and b1 (see turn_bits)."""
     return np.abs((b1 - b0 + 180.0) % 360.0 - 180.0) > threshold
 
 

@@ -5,7 +5,16 @@ import json
 import numpy as np
 import pytest
 
-from routeloc import DescriptorStore, WorldViews, enumerate_routes, load_graph, turn_pattern
+from routeloc import (
+    DescriptorStore,
+    LocalizerConfig,
+    WorldViews,
+    enumerate_routes,
+    load_graph,
+    localize_full,
+    turn_pattern,
+    write_ranked_csv,
+)
 from routeloc.cli import main
 
 
@@ -184,6 +193,40 @@ class TestLocalizeCommand:
         assert truth in routes
         want = turn_pattern(truth, g)
         assert all(turn_pattern(r, g) == want for r in routes)
+
+    @pytest.mark.parametrize("use_turns", [False, True])
+    def test_ranked_csv_equals_full_search(self, pipeline, tmp_path, use_turns):
+        # An image-side query ranks many routes at distinct and tied
+        # distances; the stepped search must write what the batch ranker does.
+        g = load_graph(pipeline["graph"])
+        store = DescriptorStore.load(pipeline["map_store"])
+        images = DescriptorStore.load(pipeline["image_store"])
+        truth = sorted(enumerate_routes(g, 4))[7]
+        query = np.stack([images.vector(i) for i in truth])
+        qpath = tmp_path / "query.emb"
+        DescriptorStore(np.arange(4), query).save(qpath)
+        query = DescriptorStore.load(qpath).vectors
+        turns = turn_pattern(truth, g)
+        args = ["--turns", ",".join(map(str, turns))] + (["--use-turns"] if use_turns else [])
+        assert main(["localize", "run", "--graph", str(pipeline["graph"]),
+                     "--store", str(pipeline["map_store"]), "--query", str(qpath),
+                     "--out", str(tmp_path)] + args) == 0
+        routes = enumerate_routes(g, 4, ("tunnel", "motorway"))
+        want = localize_full(query, routes, store, graph=g, turns=turns,
+                             cfg=LocalizerConfig(use_turns=use_turns))
+        write_ranked_csv(tmp_path / "want.csv", want)
+        got = (tmp_path / "ranked.csv").read_bytes()
+        assert got == (tmp_path / "want.csv").read_bytes()
+        assert got.count(b"\n") == len(want) + 1 > 10
+
+    def test_bad_turn_pattern(self, pipeline, tmp_path, capsys):
+        _, _, qpath = self.make_query(pipeline, tmp_path, 3)
+        for bits in ("0", "0,2"):
+            ret = main(["localize", "run", "--graph", str(pipeline["graph"]),
+                        "--store", str(pipeline["map_store"]), "--query", str(qpath),
+                        "--use-turns", "--turns", bits, "--out", str(tmp_path)])
+            assert ret == 2
+            assert "error[config]: turn pattern must be 2 bits" in capsys.readouterr().err
 
     def test_bad_query_ids(self, pipeline, tmp_path, capsys):
         store = DescriptorStore.load(pipeline["map_store"])

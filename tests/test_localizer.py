@@ -1,12 +1,17 @@
 """Sequential route localization: ranking oracle, stepping, culling, turns."""
+import contextlib
 import csv
 import dataclasses
+import gc
+import weakref
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from routeloc import localizer
 from routeloc import (
     DescriptorStore,
     Location,
@@ -39,6 +44,7 @@ def tie_heavy_searches(draw):
 
     Distances are then small integers, so many candidates tie.  The turn bits
     are those of a real route half the time, so that some candidates survive.
+    Some locations carry a tunnel tag, for searches that exclude tunnels.
     """
     n = draw(st.integers(3, 7))
     cells = draw(st.lists(st.tuples(st.integers(0, 3), st.integers(0, 3)),
@@ -49,8 +55,10 @@ def tie_heavy_searches(draw):
     for i, j in edges:
         nbrs[i].add(j)
         nbrs[j].add(i)
+    tunnels = draw(st.lists(st.booleans(), min_size=n, max_size=n))
     g = MapGraph([Location(i, (10.0 * cells[i][0], 10.0 * cells[i][1]), 0.0,
-                           tuple(sorted(nbrs[i]))) for i in range(n)])
+                           tuple(sorted(nbrs[i])), frozenset({"tunnel"} if tunnels[i] else ()))
+                  for i in range(n)])
     ints = st.integers(0, 2)
     store = DescriptorStore(g.id_array, np.array(draw(st.lists(ints, min_size=n, max_size=n)),
                                                  dtype=np.float64)[:, None])
@@ -62,6 +70,39 @@ def tie_heavy_searches(draw):
     else:
         turns = tuple(draw(st.lists(st.integers(0, 1), min_size=m - 1, max_size=m - 1)))
     return g, store, query, turns
+
+
+search_configs = st.builds(
+    LocalizerConfig,
+    use_turns=st.booleans(),
+    cull_fraction=st.sampled_from([0.0, 0.3, 0.6]),
+    cull_floor=st.integers(1, 4),
+    turn_threshold=st.sampled_from([10.0, 30.0, 60.0]),
+)
+
+
+# Limits on the route locations a frontier carries: none carried (routes
+# are always rebuilt from the steps), carried for a few steps only, default.
+carry_limits = st.sampled_from([0, 12, None])
+
+
+@contextlib.contextmanager
+def carry_limit(limit):
+    if limit is None:
+        yield
+    else:
+        with mock.patch.object(localizer, "_CARRY_LIMIT", limit):
+            yield
+
+
+def run_chain(g, store, q, cfg, turns=None, exclusions=(), carry=None):
+    """Stepped search over the query q, with query turn bits when given."""
+    with carry_limit(carry):
+        state = start_candidates(g, store.cost_vector(q[0], g.id_array), exclusions, cfg)
+        for i in range(1, len(q)):
+            bit = None if turns is None else turns[i - 1]
+            state = localize_step(state, q[i], bit, g, store, cfg)
+    return state
 
 
 def oracle_ranking(query, routes, store, graph=None, turns=None, threshold=30.0):
@@ -187,21 +228,21 @@ class TestLocalizeFull:
             localize_full(np.zeros((3, DIM)), [(0, 1, 2)], store, graph=tee_graph,
                           turns=(0,), cfg=LocalizerConfig(use_turns=True))
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_query(self, tee_graph, bad):
+        q = np.zeros((2, DIM))
+        q[1, 2] = bad
+        with pytest.raises(ValueError, match="query descriptors must be finite"):
+            localize_full(q, [(0, 1)], make_store(tee_graph))
+
 
 class TestStepping:
-    def run_chain(self, g, store, q, cfg, turns=None):
-        state = start_candidates(g, store.cost_vector(q[0], g.id_array), (), cfg)
-        for i in range(1, len(q)):
-            bit = None if turns is None else turns[i - 1]
-            state = localize_step(state, q[i], bit, g, store, cfg)
-        return state
-
     def test_chain_equals_full_ranking(self):
         g = generate_synthetic_world(SyntheticWorldConfig(node_count=30, seed=31))
         store = make_store(g, seed=9)
         q = np.random.default_rng(10).normal(0, 1, (4, DIM))
         cfg = LocalizerConfig()
-        state = self.run_chain(g, store, q, cfg)
+        state = run_chain(g, store, q, cfg)
         assert state.length_m == 4
         want = localize_full(q, enumerate_routes(g, 4), store)
         got = state.ranked()
@@ -215,17 +256,17 @@ class TestStepping:
         truth = (0, 1, 3)
         turns = turn_pattern(truth, tee_graph)
         cfg = LocalizerConfig(use_turns=True)
-        state = self.run_chain(tee_graph, store, q, cfg, turns=turns)
+        state = run_chain(tee_graph, store, q, cfg, turns=turns)
         want = localize_full(q, enumerate_routes(tee_graph, 3), store,
                              graph=tee_graph, turns=turns, cfg=cfg)
         assert state.ranked() == want
 
-    @given(tie_heavy_searches())
+    @given(tie_heavy_searches(), carry_limits)
     @settings(max_examples=150, deadline=None)
-    def test_stepped_turn_search_equals_full_search(self, search):
+    def test_stepped_turn_search_equals_full_search(self, search, carry):
         g, store, q, turns = search
         cfg = LocalizerConfig(use_turns=True)
-        state = self.run_chain(g, store, q, cfg, turns=turns)
+        state = run_chain(g, store, q, cfg, turns=turns, carry=carry)
         want = localize_full(q, enumerate_routes(g, len(q)), store, graph=g,
                              turns=turns, cfg=cfg)
         assert state.ranked() == want
@@ -235,7 +276,7 @@ class TestStepping:
         g = generate_synthetic_world(SyntheticWorldConfig(node_count=30, seed=32))
         store = make_store(g, seed=15)
         q = np.random.default_rng(16).normal(0, 1, (3, DIM))
-        state = self.run_chain(g, store, q, LocalizerConfig())
+        state = run_chain(g, store, q, LocalizerConfig())
         full = state.ranked()
         assert len(full) == state.size
         for k in (0, 1, 5, 17, state.size + 10):
@@ -338,6 +379,73 @@ class TestCulling:
         for route, dist in state.ranked():
             assert route in want
             assert dist == pytest.approx(want[route], rel=1e-12)
+
+    @given(tie_heavy_searches(), search_configs, st.booleans(), carry_limits)
+    @settings(max_examples=150, deadline=None)
+    def test_culled_ranking_is_a_subset_of_full(self, search, cfg, exclude, carry):
+        g, store, q, turns = search
+        excl = ("tunnel",) if exclude else ()
+        culled = run_chain(g, store, q, cfg, turns, excl, carry).ranked()
+        full = run_chain(g, store, q, dataclasses.replace(cfg, cull_fraction=0.0), turns,
+                         excl).ranked()
+        kept = {route for route, _ in culled}
+        assert len(kept) == len(culled)
+        assert culled == [(route, dist) for route, dist in full if route in kept]
+
+
+class TestRouteTree:
+    @given(tie_heavy_searches(), search_configs, st.booleans(), carry_limits,
+           st.lists(st.tuples(search_configs, st.booleans(), st.booleans(), carry_limits),
+                    max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_grown_tree_ranks_like_a_fresh_one(self, search, cfg, exclude, carry, earlier):
+        g, store, q, turns = search
+        excl = ("tunnel",) if exclude else ()
+        want = run_chain(MapGraph(list(g.locations())), store, q, cfg, turns, excl).ranked()
+        # Earlier queries grow g's trees, some the tree the last query uses.
+        for other, same_tree, other_exclude, other_carry in earlier:
+            if same_tree:
+                other = dataclasses.replace(other, turn_threshold=cfg.turn_threshold)
+            run_chain(g, store, q[::-1], other, turns[::-1],
+                      excl if same_tree else ("tunnel",) if other_exclude else (), other_carry)
+        assert run_chain(g, store, q, cfg, turns, excl, carry).ranked() == want
+
+    @given(tie_heavy_searches(), st.sampled_from([10.0, 30.0, 60.0]),
+           st.sampled_from([10.0, 30.0, 60.0]), carry_limits, st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_step_threshold_other_than_start(self, search, start_th, step_th, carry, data):
+        g, store, q, turns = search
+        routes = sorted(enumerate_routes(g, len(q)))
+        if routes:
+            turns = turn_pattern(data.draw(st.sampled_from(routes)), g, step_th)
+        step_cfg = LocalizerConfig(use_turns=True, turn_threshold=step_th)
+        with carry_limit(carry):
+            state = start_candidates(g, store.cost_vector(q[0], g.id_array), (),
+                                     LocalizerConfig(use_turns=True, turn_threshold=start_th))
+            for i in range(1, len(q)):
+                state = localize_step(state, q[i], turns[i - 1], g, store, step_cfg)
+        want = localize_full(q, routes, store, graph=g, turns=turns, cfg=step_cfg)
+        assert state.ranked() == want
+
+    def test_one_tree_per_exclusions_and_threshold(self, tee_graph):
+        costs = np.zeros(4)
+        tree = start_candidates(tee_graph, costs).tree
+        other_cfg = LocalizerConfig(use_turns=True, cull_fraction=0.5, cull_floor=1)
+        assert start_candidates(tee_graph, costs, (), other_cfg).tree is tree
+        assert start_candidates(tee_graph, costs, ("tunnel",)).tree is not tree
+        assert start_candidates(tee_graph, costs, (),
+                                LocalizerConfig(turn_threshold=45.0)).tree is not tree
+
+    def test_graph_and_tree_are_freed_with_the_last_reference(self):
+        g = generate_synthetic_world(SyntheticWorldConfig(node_count=30, seed=34))
+        store = make_store(g, seed=23)
+        q = np.random.default_rng(24).normal(0, 1, (4, DIM))
+        state = run_chain(g, store, q, LocalizerConfig(cull_fraction=0.5, cull_floor=5))
+        assert state.top(3)
+        refs = [weakref.ref(g), weakref.ref(state.tree)]
+        del g, state
+        gc.collect()
+        assert [r() for r in refs] == [None, None]
 
 
 class TestCheckSuccess:

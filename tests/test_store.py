@@ -37,6 +37,8 @@ class TestConstruction:
             ([], np.ones((0, 2)), "cannot be empty"),
             ([1, -2], np.ones((2, 2)), "non-negative"),
             ([3, 1, 3], np.ones((3, 2)), "duplicate descriptor id 3"),
+            ([1, 2], [[0.0, np.nan], [1.0, 1.0]], "must be finite"),
+            ([1, 2], [[0.0, 1.0], [-np.inf, 1.0]], "must be finite"),
         ],
     )
     def test_rejects_invalid(self, ids, vecs, msg):
@@ -122,6 +124,8 @@ class TestBinaryFormat:
             (b"EMB1\x06\x00", "truncated header"),
             (b"EMB1" + struct.pack("<II", 0, 3), "zero descriptor dimension"),
             (b"EMB1" + struct.pack("<II", 2, 5) + b"\x00" * 12, "got 12 bytes"),
+            (b"EMB1" + struct.pack("<IIIfIf", 1, 2, 3, 1.0, 4, np.inf),
+             r"record 1 \(id 4\) is not finite"),
         ],
     )
     def test_malformed_binary(self, tmp_path, body, msg):
@@ -166,6 +170,8 @@ class TestCsvFormat:
             ("id,v0,v1\n1,2.0\n", "line 2: expected 3 fields"),
             ("id,v0\n1,2.0\n2,spam\n", "line 3"),
             ("id,v0\n", "no descriptor rows"),
+            ("id,v0,v1\n1,2.0,0\n2,0,nan\n", "line 3: values must be finite"),
+            ("id,v0\n1,-inf\n", "line 2: values must be finite"),
         ],
     )
     def test_malformed_csv(self, tmp_path, text, msg):

@@ -249,6 +249,16 @@ class TestFileFormat:
         with pytest.raises(GraphFormatError, match=fragment):
             load_graph(path)
 
+    @pytest.mark.parametrize(
+        "line",
+        ["N 0 inf 0 0 -", "N 0 0 -inf 0 -", "N 0 0 0 nan -", "L 9 1.0 nan", "L 9 inf 0.0"],
+    )
+    def test_non_finite_values_rejected(self, tmp_path, line):
+        path = tmp_path / "bad.txt"
+        path.write_text("N 9 0 0 0 -\n" + line + "\n")
+        with pytest.raises(GraphFormatError, match="line 2: .* must be finite"):
+            load_graph(path)
+
     def test_duplicate_node_record(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("N 0 0 0 0 -\nN 0 1 0 0 -\n")
