@@ -22,6 +22,7 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .baselines import BsdNoise, hamming_cost_vector, map_code_matrix, simulate_query_codes
 from .embedding import (
@@ -226,13 +227,30 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
     ``graph``, ``views`` and ``encoders`` may be supplied to reuse expensive
     artifacts across experiments; anything missing is built from the config
     (encoders are trained only for embedding-based methods).
+
+    ``meta["stage_s"]`` splits the run into consecutive stages, in seconds:
+    ``world`` (generating or loading the graph), ``views``, ``training``,
+    ``costs`` (the map store, route and query simulation, query encoding
+    and each route's cost table), ``search`` (starting and advancing the
+    candidate sets) and ``scoring`` (top-5 and success checks).  A skipped
+    stage reads 0.0; the stages add up to at most ``meta["runtime_s"]``.
     """
-    t0 = time.monotonic()
+    stage_s = dict.fromkeys(("world", "views", "training", "costs", "search", "scoring"), 0.0)
+    t_start = t_last = time.perf_counter()
+
+    def lap(stage):
+        """Charge the time since the previous lap to ``stage``."""
+        nonlocal t_last
+        now = time.perf_counter()
+        stage_s[stage] += now - t_last
+        t_last = now
+
     if graph is None:
         if isinstance(cfg.world, SyntheticWorldConfig):
             graph = generate_synthetic_world(cfg.world)
         else:
             graph = load_graph(cfg.world)
+        lap("world")
     g = graph
 
     use_embeddings = cfg.method in ("ES", "ES+T")
@@ -246,12 +264,14 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
     if use_embeddings:
         if views is None:
             views = WorldViews.from_graph(g)
+            lap("views")
         if encoders is None:
             aug = AugmentationConfig(jitter_sigma=cfg.train.jitter_sigma)
             g_enc, f_enc = train_encoders(
                 g, loss_cfg, aug, epochs=cfg.train.epochs, lr=cfg.train.lr,
                 seed=cfg.seed, n_b=cfg.train.n_b, k=cfg.train.k, views=views,
             )
+            lap("training")
         else:
             g_enc, f_enc = encoders
         # Map-side reference store over S1 tiles, aligned to graph rows.
@@ -261,6 +281,7 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
     zero_costs = np.zeros(len(g))
 
     routes = simulate_routes(g, cfg.route_count, cfg.max_length, cfg.exclusions, cfg.seed)
+    lap("costs")
 
     lengths = list(range(cfg.success_window, cfg.max_length + 1))
     hits1 = {m: set() for m in lengths}
@@ -281,9 +302,7 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
                 if cfg.noise.outlier_prob > 0 and rng.random() < cfg.noise.outlier_prob:
                     scale *= cfg.noise.outlier_scale
                 lat = lat + scale * rng.standard_normal(lat.shape)
-            qdesc = encode_batch(lat, f_enc, loss_cfg)
-            cost_seq = [np.linalg.norm(store_matrix - qdesc[i], axis=1)
-                        for i in range(cfg.max_length)]
+            cost_seq = cdist(encode_batch(lat, f_enc, loss_cfg), store_matrix)
         elif use_bsd:
             qcodes = simulate_query_codes(truth, g, cfg.noise.bsd, rng)
             cost_seq = [hamming_cost_vector(codes, qc) for qc in qcodes]
@@ -300,13 +319,18 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
             if any(check_success(r, prefix, cfg.success_window) for r, _ in top5):
                 hits5[m].add(idx)
 
+        lap("costs")
         state = start_candidates(g, cost_seq[0], cfg.exclusions, loc_cfg)
+        lap("search")
         if 1 >= cfg.success_window:
             record(state, 1)
+            lap("scoring")
         for m in range(2, cfg.max_length + 1):
             state = advance_candidates(state, cost_seq[m - 1], int(qbits[m - 2]), loc_cfg)
+            lap("search")
             if m >= cfg.success_window:
                 record(state, m)
+                lap("scoring")
 
     n = len(routes)
     report = AccuracyReport(
@@ -328,7 +352,8 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
             "cull_floor": loc_cfg.cull_floor,
             "world_size": len(g),
             "runtime_s": None,
+            "stage_s": stage_s,
         },
     )
-    report.meta["runtime_s"] = round(time.monotonic() - t0, 3)
+    report.meta["runtime_s"] = round(time.perf_counter() - t_start, 3)
     return report

@@ -296,7 +296,7 @@ def _cmd_localize_run(args):
             raise ValueError(f"turn pattern must be {m - 1} bits of 0 or 1, got {args.turns}")
         bits = turns
     cfg = LocalizerConfig(use_turns=args.use_turns, top_k=args.top_k)
-    costs = [store.cost_vector(q, g.id_array) for q in qstore.vectors]
+    costs = store.distance_matrix(qstore.vectors)[:, store.rows_of(g.id_array)]
     state = start_candidates(g, costs[0], exclusions, cfg)
     for cost, bit in zip(costs[1:], bits):
         state = advance_candidates(state, cost, bit, cfg)

@@ -36,11 +36,13 @@ class TrainingDiverged(RuntimeError):
 def normalize_scale(v, scale: float = DEFAULT_SCALE) -> np.ndarray:
     """Project v onto the sphere of radius ``scale``: scale * v / ||v||.
 
-    Rejects zero vectors and non-positive scales.
+    Rejects zero or non-finite vectors and non-positive scales.
     """
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
     v = np.asarray(v, dtype=np.float64)
+    if not np.isfinite(v).all():
+        raise ValueError("cannot normalize a non-finite vector")
     norm = float(np.linalg.norm(v))
     if norm <= _EPS:
         raise ValueError("cannot normalize a zero vector")
@@ -162,6 +164,8 @@ def encode(latent, enc: Encoder, cfg: LossConfig) -> np.ndarray:
         raise ValueError(
             f"latent shape {latent.shape} does not match encoder input ({enc.latent_dim},)"
         )
+    if not np.isfinite(latent).all():
+        raise ValueError("latent must be finite")
     return normalize_scale(enc.weights @ latent + enc.bias, cfg.scale)
 
 
@@ -172,7 +176,11 @@ def encode_batch(latents, enc: Encoder, cfg: LossConfig) -> np.ndarray:
         raise ValueError(
             f"latent dim {latents.shape[-1]} does not match encoder input {enc.latent_dim}"
         )
+    if not np.isfinite(latents).all():
+        raise ValueError("latents must be finite")
     raw = latents @ enc.weights.T + enc.bias
+    if not np.isfinite(raw).all():
+        raise ValueError("encoder produced a non-finite vector; cannot normalize")
     norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     if np.any(norms <= _EPS):
         raise ValueError("encoder produced a zero vector; cannot normalize")

@@ -318,9 +318,12 @@ def localize_full(query: RouteDescriptor, routes, store: DescriptorStore,
     if not np.isfinite(q).all():
         raise ValueError("query descriptors must be finite")
     matrix = route_matrix(routes, q.shape[0], graph, turns, cfg)
+    table = store.distance_matrix(q)
+    rows = store.rows_of(matrix)
+    # Added position by position, in the order the stepped search adds them.
     dists = np.zeros(len(matrix), dtype=np.float64)
     for i in range(q.shape[0]):
-        dists += store.distances_to(q[i])[store.rows_of(matrix[:, i])]
+        dists += table[i, rows[:, i]]
     return rank_matrix(matrix, dists, cfg.top_k)
 
 

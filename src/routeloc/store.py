@@ -13,6 +13,7 @@ import struct
 from typing import Sequence
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 MAGIC = b"EMB1"
 
@@ -62,18 +63,30 @@ class DescriptorStore:
         clipped = np.minimum(rows, len(self.ids) - 1)
         bad = self.ids[clipped] != ids
         if np.any(bad):
-            raise KeyError(f"no descriptor for id {int(ids[np.argmax(bad)])}")
+            raise KeyError(f"no descriptor for id {int(ids.flat[np.argmax(bad)])}")
         return rows
 
     def vector(self, loc_id: int) -> np.ndarray:
         return self.vectors[self.row_of(loc_id)]
+
+    def distance_matrix(self, queries) -> np.ndarray:
+        """Euclidean distances (Q, N) from each query row to every stored descriptor.
+
+        Columns follow store order.  Each entry is computed from the
+        coordinate differences, so a query equal to a stored vector is at
+        exactly 0.0 and small distances keep their precision.
+        """
+        q = np.asarray(queries, dtype=np.float64)
+        if q.ndim != 2 or q.shape[1] != self.dim:
+            raise ValueError(f"queries shape {q.shape} does not match (Q, {self.dim})")
+        return cdist(q, self.vectors)
 
     def distances_to(self, query) -> np.ndarray:
         """Euclidean distance from every stored descriptor to the query, store order."""
         q = np.asarray(query, dtype=np.float64)
         if q.shape != (self.dim,):
             raise ValueError(f"query shape {q.shape} does not match store dim {self.dim}")
-        return np.linalg.norm(self.vectors - q, axis=1)
+        return self.distance_matrix(q[None, :])[0]
 
     def cost_vector(self, query, id_order) -> np.ndarray:
         """Distances to the query, reordered to follow ``id_order``."""

@@ -222,6 +222,8 @@ class TestRunExperiment:
         reused = run_experiment(cfg, graph=g, views=views, encoders=encs)
         assert reused.top1 == auto.top1
         assert reused.localized_top1 == auto.localized_top1
+        skipped = [reused.meta["stage_s"][k] for k in ("world", "views", "training")]
+        assert skipped == [0.0, 0.0, 0.0]
 
     def test_world_from_file(self, tmp_path):
         from routeloc import save_graph
@@ -246,3 +248,8 @@ class TestRunExperiment:
         assert rep.meta["exclusions"] == ["motorway", "tunnel"]
         assert rep.meta["seed"] == 1
         assert rep.meta["runtime_s"] >= 0
+        stages = rep.meta["stage_s"]
+        assert set(stages) == {"world", "views", "training", "costs", "search", "scoring"}
+        assert all(v >= 0.0 for v in stages.values())
+        assert stages["world"] > 0.0 and stages["training"] > 0.0
+        assert sum(stages.values()) <= rep.meta["runtime_s"] + 1e-3

@@ -107,6 +107,17 @@ class TestEmbedCommands:
         np.testing.assert_array_equal(default, export("--seed", "1"))
         assert not np.allclose(default, export("--seed", "0"))
 
+    def test_export_rejects_non_finite_encoder(self, pipeline, tmp_path, capsys):
+        data = dict(np.load(pipeline["encoders"]))
+        data["g_weights"] = data["g_weights"].copy()
+        data["g_weights"][3, 5] = np.nan
+        bad = tmp_path / "encoders.npz"
+        np.savez(bad, **data)
+        ret = main(["embed", "export", "--graph", str(pipeline["graph"]),
+                    "--encoders", str(bad), "--out", str(tmp_path / "out")])
+        assert ret == 2
+        assert "error[config]: encoder produced a non-finite vector" in capsys.readouterr().err
+
 
 class TestEvalCommands:
     def test_recall(self, pipeline, tmp_path, capsys):

@@ -146,6 +146,11 @@ class TestNormalizeScale:
         with pytest.raises(ValueError, match="scale"):
             normalize_scale(np.ones(4), scale=0.0)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite(self, bad):
+        with pytest.raises(ValueError, match="non-finite"):
+            normalize_scale(np.array([1.0, bad, 2.0]))
+
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=16))
     @settings(max_examples=200, deadline=None)
     def test_norm_invariant(self, vals):
@@ -203,6 +208,30 @@ class TestEncode:
             encode(np.ones(4), enc, LossConfig(dim=4))
         with pytest.raises(ValueError, match="zero vector"):
             encode_batch(np.ones((2, 4)), enc, LossConfig(dim=4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_encode_rejects_non_finite(self, bad):
+        cfg = LossConfig(dim=4)
+        with pytest.raises(ValueError, match="latent must be finite"):
+            encode(np.array([bad, 1.0, 2.0, 3.0]), Encoder(np.eye(4), np.zeros(4)), cfg)
+        weights = np.eye(4)
+        weights[2, 1] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            encode(np.ones(4), Encoder(weights, np.zeros(4)), cfg)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_encode_batch_rejects_non_finite(self, bad):
+        cfg = LossConfig(dim=4)
+        lat = np.ones((3, 4))
+        lat[1, 0] = bad
+        with pytest.raises(ValueError, match="latents must be finite"):
+            encode_batch(lat, Encoder(np.eye(4), np.zeros(4)), cfg)
+        with pytest.raises(ValueError, match="latents must be finite"):
+            encode_batch(lat[None], Encoder(np.eye(4), np.zeros(4)), cfg)
+        bias = np.zeros(4)
+        bias[3] = bad
+        with pytest.raises(ValueError, match="encoder produced a non-finite vector"):
+            encode_batch(np.ones((3, 4)), Encoder(np.eye(4), bias), cfg)
 
 
 class TestBatchLoss:

@@ -3,6 +3,9 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from routeloc import (
     DescriptorStore,
@@ -61,6 +64,9 @@ class TestLookup:
         np.testing.assert_array_equal(store.rows_of([40, 3, 19]), [3, 0, 2])
         with pytest.raises(KeyError):
             store.rows_of([3, 99])
+        np.testing.assert_array_equal(store.rows_of([[40, 3], [7, 19]]), [[3, 0], [1, 2]])
+        with pytest.raises(KeyError, match="99"):
+            store.rows_of([[3, 7], [19, 99]])
 
 
 class TestDistances:
@@ -84,6 +90,64 @@ class TestDistances:
     def test_query_shape_error(self, store):
         with pytest.raises(ValueError, match="does not match store dim"):
             store.distances_to(np.ones(store.dim + 1))
+
+
+def per_row_norms(vectors, queries):
+    """Reference table: one np.linalg.norm over the store per query row."""
+    return np.array([np.linalg.norm(vectors - q, axis=1) for q in queries])
+
+
+coords = st.floats(-1e3, 1e3, allow_subnormal=False)
+
+
+@st.composite
+def stores_and_queries(draw):
+    dim = draw(st.integers(1, 6))
+    n = draw(st.integers(1, 8))
+    vectors = draw(hnp.arrays(np.float64, (n, dim), elements=coords))
+    queries = draw(hnp.arrays(np.float64, (draw(st.integers(1, 5)), dim), elements=coords))
+    return DescriptorStore(np.arange(n), vectors), queries
+
+
+class TestDistanceMatrix:
+    @given(stores_and_queries())
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_row_norm(self, case):
+        store, queries = case
+        got = store.distance_matrix(queries)
+        assert got.shape == (len(queries), len(store))
+        np.testing.assert_allclose(got, per_row_norms(store.vectors, queries),
+                                   rtol=1e-13, atol=0.0)
+
+    def test_one_row_case_is_distances_to(self, store):
+        queries = np.random.default_rng(1).normal(0.0, 1.0, (3, store.dim))
+        table = store.distance_matrix(queries)
+        for q, row in zip(queries, table):
+            np.testing.assert_array_equal(store.distances_to(q), row)
+
+    def test_duplicate_rows_bit_equal(self):
+        rng = np.random.default_rng(2)
+        base = rng.normal(0.0, 8.0, (5, 16))
+        store = DescriptorStore(np.arange(35), np.tile(base, (7, 1)))
+        table = store.distance_matrix(rng.normal(0.0, 8.0, (20, 16)))
+        for k in range(1, 7):
+            np.testing.assert_array_equal(table[:, 5 * k:5 * k + 5], table[:, :5])
+
+    def test_member_query_is_exactly_zero(self, store):
+        table = store.distance_matrix(store.vectors)
+        np.testing.assert_array_equal(np.diag(table), 0.0)
+
+    def test_small_difference_keeps_precision(self, store):
+        # The Gram form ||q||^2 + ||r||^2 - 2 q.r loses this to cancellation.
+        q = store.vectors[2].copy()
+        q[4] += 1e-9
+        d = store.distance_matrix(q[None, :])[0, 2]
+        assert abs(d - 1e-9) <= 1e-15
+
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 7), (6,), (1, 2, 6)])
+    def test_shape_errors(self, store, shape):
+        with pytest.raises(ValueError, match="does not match"):
+            store.distance_matrix(np.ones(shape))
 
 
 class TestBinaryFormat:
@@ -133,6 +197,41 @@ class TestBinaryFormat:
         path.write_bytes(body)
         with pytest.raises(StoreFormatError, match=msg):
             DescriptorStore.load(path)
+
+
+def round_trip(store, path):
+    store.save(path)
+    return DescriptorStore.load(path)
+
+
+finite_f64 = st.floats(allow_nan=False, allow_infinity=False)
+# Values a float32 record can hold without overflowing.
+f32_range = st.floats(-3.0e38, 3.0e38)
+
+
+@st.composite
+def stores(draw, elements):
+    dim = draw(st.integers(1, 5))
+    ids = draw(st.lists(st.integers(0, 2**32 - 1), min_size=1, max_size=12, unique=True))
+    vectors = draw(hnp.arrays(np.float64, (len(ids), dim), elements=elements))
+    return DescriptorStore(ids, vectors)
+
+
+class TestFuzzedRoundTrips:
+    @given(stores(finite_f64))
+    @settings(max_examples=40, deadline=None)
+    def test_csv_exact(self, tmp_path_factory, store):
+        back = round_trip(store, tmp_path_factory.mktemp("csv") / "d.csv")
+        np.testing.assert_array_equal(back.ids, store.ids)
+        np.testing.assert_array_equal(back.vectors, store.vectors)
+
+    @given(stores(f32_range))
+    @settings(max_examples=40, deadline=None)
+    def test_binary_to_f32(self, tmp_path_factory, store):
+        back = round_trip(store, tmp_path_factory.mktemp("bin") / "d.emb")
+        np.testing.assert_array_equal(back.ids, store.ids)
+        np.testing.assert_array_equal(
+            back.vectors, store.vectors.astype(np.float32).astype(np.float64))
 
 
 class TestCsvFormat:

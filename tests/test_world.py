@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from routeloc import (
     GraphFormatError,
@@ -181,7 +183,53 @@ class TestRowIndex:
             path_graph.latent_matrix()
 
 
+@st.composite
+def fuzzed_graphs(draw):
+    """Small valid graphs with arbitrary ids, finite geometry, tags and latents."""
+    ids = draw(st.lists(st.integers(0, 10**9), min_size=1, max_size=8, unique=True))
+    n = len(ids)
+    coord = st.floats(-1e9, 1e9)
+    pairs = [(a, b) for a in range(n) for b in range(a + 1, n)]
+    edges = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    latent_dim = draw(st.sampled_from([None, 1, 3]))
+    locs = []
+    for i, loc_id in enumerate(ids):
+        latent = None
+        if latent_dim is not None:
+            latent = np.array(draw(st.lists(st.floats(allow_nan=False, allow_infinity=False),
+                                            min_size=latent_dim, max_size=latent_dim)))
+        locs.append(Location(
+            id=loc_id,
+            position=(draw(coord), draw(coord)),
+            heading=draw(st.floats(0.0, 360.0, exclude_max=True)),
+            neighbors=tuple(sorted(ids[b if a == i else a] for a, b in edges if i in (a, b))),
+            tags=draw(st.frozensets(st.sampled_from(TAG_NAMES))),
+            latent=latent,
+        ))
+    g = MapGraph(locs, validate=False)
+    assume(g.edge_count() == 0 or g.spacing > 0.0)
+    g.validate()
+    return g
+
+
 class TestFileFormat:
+    @given(fuzzed_graphs())
+    @settings(max_examples=40, deadline=None)
+    def test_fuzzed_round_trip(self, tmp_path_factory, g):
+        path = tmp_path_factory.mktemp("graph") / "g.txt"
+        save_graph(g, path)
+        back = load_graph(path)
+        assert [loc.id for loc in back.locations()] == [loc.id for loc in g.locations()]
+        for a, b in zip(g.locations(), back.locations()):
+            assert a.position == b.position
+            assert a.heading == b.heading
+            assert a.tags == b.tags
+            assert a.neighbors == b.neighbors
+            if a.latent is None:
+                assert b.latent is None
+            else:
+                np.testing.assert_array_equal(a.latent, b.latent)
+
     def test_round_trip_exact(self, tee_graph, tmp_path):
         path = tmp_path / "g.txt"
         save_graph(tee_graph, path)
