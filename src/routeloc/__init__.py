@@ -11,11 +11,9 @@ from .baselines import (
     BsdCode,
     BsdNoise,
     bsd_from_map,
-    bsd_localize,
     hamming_cost_vector,
     map_code_matrix,
     simulate_query_codes,
-    turn_only_localize,
 )
 from .bench import (
     METHODS,
@@ -59,7 +57,6 @@ from .localizer import (
     check_success,
     localize_full,
     localize_step,
-    route_distance,
     start_candidates,
     write_ranked_csv,
 )
@@ -72,7 +69,7 @@ from .retrieval import (
     topk_percent_recall,
     truth_ranks,
 )
-from .store import DescriptorStore, StoreFormatError, build_store
+from .store import DescriptorStore, StoreFormatError
 from .synth import SyntheticWorldConfig, generate_synthetic_world
 from .world import (
     DEFAULT_TURN_THRESHOLD,
@@ -85,7 +82,6 @@ from .world import (
     TurnPattern,
     bearing_deg,
     enumerate_routes,
-    extend_routes,
     load_graph,
     save_graph,
     turn_bits,

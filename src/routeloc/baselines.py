@@ -1,19 +1,19 @@
 """Hand-crafted localization baselines.
 
 Binary semantic descriptors (BSD) condense each location into four bits read
-from its semantic tags; routes are ranked by summed Hamming distance with
-the same turn filtering and tie-breaking as the descriptor search.  The
-turn-only baseline matches routes purely on their binary turn pattern.
+from its semantic tags.  This module reads the map-side codes, simulates
+noisy query-side codes and turns a query code into per-location Hamming
+costs.  Routes are ranked by the localizer's search, which takes these
+costs as it takes descriptor distances.  The turn-only baseline runs the
+same search on all-zero costs, so only its turn filter tells routes apart.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
 
 import numpy as np
 
-from .localizer import LocalizerConfig, rank_matrix, route_matrix
-from .world import DEFAULT_TURN_THRESHOLD, MapGraph, Route, TurnPattern
+from .world import MapGraph, Route
 
 # Bit order of a BSD code.
 BSD_TAG_ORDER = ("junction_ahead", "junction_behind", "gap_left", "gap_right")
@@ -74,40 +74,3 @@ def hamming_cost_vector(codes: np.ndarray, query_code) -> np.ndarray:
     if qc.shape != (codes.shape[1],):
         raise ValueError(f"query code must have {codes.shape[1]} bits, got {qc.shape}")
     return (codes != qc[None, :]).sum(axis=1).astype(np.float64)
-
-
-def bsd_localize(query_codes: Sequence[BsdCode], routes, g: MapGraph,
-                 turns: TurnPattern | None = None,
-                 cfg: LocalizerConfig = LocalizerConfig()) -> list:
-    """Rank candidate routes by total Hamming distance between BSD sequences.
-
-    Mirrors the descriptor-based full search: same optional turn filtering,
-    same (distance, lexicographic) ordering, same ``top_k`` cut.  Query
-    noise, when wanted, is injected by the caller (see simulate_query_codes);
-    the ranking itself is deterministic.
-    """
-    m = len(query_codes)
-    if m < 1:
-        raise ValueError("need at least one query code")
-    matrix = route_matrix(routes, m, g, turns, cfg)
-    codes = map_code_matrix(g)
-    dists = np.zeros(len(matrix), dtype=np.float64)
-    for i in range(m):
-        dists += hamming_cost_vector(codes, query_codes[i])[g.rows_of(matrix[:, i])]
-    return rank_matrix(matrix, dists, cfg.top_k)
-
-
-def turn_only_localize(turns: TurnPattern, routes, g: MapGraph,
-                       threshold: float = DEFAULT_TURN_THRESHOLD) -> list:
-    """All candidate routes whose map-side turn pattern equals the query pattern.
-
-    Matches carry no further ranking signal; the list is returned in
-    lexicographic order for determinism.
-    """
-    routes = list(routes)
-    m = len(turns) + 1
-    bad = [len(r) for r in routes if len(r) != m]
-    if bad:
-        raise ValueError(f"route length {bad[0]} does not fit a {m - 1}-bit turn pattern")
-    cfg = LocalizerConfig(use_turns=True, turn_threshold=threshold)
-    return list(map(tuple, route_matrix(routes, m, g, turns, cfg).tolist()))

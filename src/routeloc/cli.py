@@ -8,7 +8,6 @@ categorized error line to stderr and return nonzero.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 

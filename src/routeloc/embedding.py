@@ -8,12 +8,12 @@ triplet constraints built from all matched/unmatched pairs in a batch
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from .world import MapGraph
+from .world import MapGraph, rows_in
 
 DEFAULT_ALPHA = 0.2
 DEFAULT_SCALE = 32.0
@@ -36,14 +36,18 @@ class TrainingDiverged(RuntimeError):
 def normalize_scale(v, scale: float = DEFAULT_SCALE) -> np.ndarray:
     """Project v onto the sphere of radius ``scale``: scale * v / ||v||.
 
-    Rejects zero or non-finite vectors and non-positive scales.
+    Rejects zero or non-finite vectors, vectors whose norm overflows, and
+    non-positive scales.
     """
     if not scale > 0:
         raise ValueError(f"scale must be positive, got {scale}")
     v = np.asarray(v, dtype=np.float64)
     if not np.isfinite(v).all():
         raise ValueError("cannot normalize a non-finite vector")
-    norm = float(np.linalg.norm(v))
+    with np.errstate(over="ignore"):
+        norm = float(np.linalg.norm(v))
+    if not np.isfinite(norm):
+        raise ValueError("cannot normalize a vector whose norm overflows")
     if norm <= _EPS:
         raise ValueError("cannot normalize a zero vector")
     return (scale / norm) * v
@@ -181,7 +185,10 @@ def encode_batch(latents, enc: Encoder, cfg: LossConfig) -> np.ndarray:
     raw = latents @ enc.weights.T + enc.bias
     if not np.isfinite(raw).all():
         raise ValueError("encoder produced a non-finite vector; cannot normalize")
-    norms = np.linalg.norm(raw, axis=-1, keepdims=True)
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(raw, axis=-1, keepdims=True)
+    if not np.isfinite(norms).all():
+        raise ValueError("encoder produced a vector whose norm overflows; cannot normalize")
     if np.any(norms <= _EPS):
         raise ValueError("encoder produced a zero vector; cannot normalize")
     return cfg.scale * raw / norms
@@ -232,11 +239,7 @@ class WorldViews:
         return self.map_s1.shape[1]
 
     def rows_of(self, loc_ids) -> np.ndarray:
-        ids = np.asarray(loc_ids, dtype=np.int64)
-        rows = np.searchsorted(self.ids, ids)
-        if np.any(rows >= len(self.ids)) or np.any(self.ids[rows] != ids):
-            raise ValueError("unknown location id in views lookup")
-        return rows
+        return rows_in(self.ids, loc_ids, ValueError)
 
 
 @dataclass

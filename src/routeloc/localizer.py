@@ -72,18 +72,6 @@ class LocalizerConfig:
             raise ValueError(f"top_k must be >= 1 or None, got {self.top_k}")
 
 
-def route_distance(query: RouteDescriptor, candidate: RouteDescriptor) -> float:
-    """Sum of per-position Euclidean distances between two descriptor sequences."""
-    q = np.asarray(query, dtype=np.float64)
-    c = np.asarray(candidate, dtype=np.float64)
-    if q.shape != c.shape or q.ndim != 2:
-        raise ValueError(f"descriptor sequences must share shape (m, dim); got {q.shape} vs {c.shape}")
-    total = 0.0
-    for i in range(q.shape[0]):
-        total += float(np.linalg.norm(q[i] - c[i]))
-    return total
-
-
 class RouteTree:
     """Every route over one graph's allowed locations, as a tree grown on demand.
 
@@ -317,43 +305,29 @@ def localize_full(query: RouteDescriptor, routes, store: DescriptorStore,
         raise ValueError(f"query must be (m, dim), got shape {q.shape}")
     if not np.isfinite(q).all():
         raise ValueError("query descriptors must be finite")
-    matrix = route_matrix(routes, q.shape[0], graph, turns, cfg)
+    m = q.shape[0]
+    route_list = list(routes)
+    if any(len(r) != m for r in route_list):
+        raise ValueError(f"all candidate routes must have the query length {m}")
+    matrix = np.asarray(route_list, dtype=np.int64).reshape(len(route_list), m)
+    if cfg.use_turns and turns is not None and route_list:
+        if m < 2:
+            raise ValueError("turn filtering needs routes of length >= 2")
+        if graph is None:
+            raise ValueError("turn filtering needs the graph for geometry")
+        tq = np.asarray(turns, dtype=np.uint8)
+        if tq.shape != (m - 1,):
+            raise ValueError(f"turn pattern must have {m - 1} bits, got {tq.shape}")
+        patterns = turn_pattern_matrix(matrix, graph, cfg.turn_threshold)
+        matrix = matrix[(patterns == tq[None, :]).all(axis=1)]
     table = store.distance_matrix(q)
     rows = store.rows_of(matrix)
     # Added position by position, in the order the stepped search adds them.
     dists = np.zeros(len(matrix), dtype=np.float64)
-    for i in range(q.shape[0]):
+    for i in range(m):
         dists += table[i, rows[:, i]]
-    return rank_matrix(matrix, dists, cfg.top_k)
-
-
-def route_matrix(routes, m: int, graph: MapGraph | None, turns: TurnPattern | None,
-                 cfg: LocalizerConfig) -> np.ndarray:
-    """Sorted (R, m) id matrix of candidate routes, turn-filtered when asked.
-
-    Every route must have length m.  When ``cfg.use_turns`` and a query turn
-    pattern are given, routes whose map-side pattern differs are dropped.
-    """
-    route_list = sorted(routes)
-    if any(len(r) != m for r in route_list):
-        raise ValueError(f"all candidate routes must have the query length {m}")
-    matrix = np.asarray(route_list, dtype=np.int64).reshape(len(route_list), m)
-    if not cfg.use_turns or turns is None or not route_list:
-        return matrix
-    if m < 2:
-        raise ValueError("turn filtering needs routes of length >= 2")
-    if graph is None:
-        raise ValueError("turn filtering needs the graph for geometry")
-    tq = np.asarray(turns, dtype=np.uint8)
-    if tq.shape != (m - 1,):
-        raise ValueError(f"turn pattern must have {m - 1} bits, got {tq.shape}")
-    patterns = turn_pattern_matrix(matrix, graph, cfg.turn_threshold)
-    return matrix[(patterns == tq[None, :]).all(axis=1)]
-
-
-def rank_matrix(matrix: np.ndarray, dists: np.ndarray, top_k: int | None) -> list:
-    """(route, distance) list of the rows of ``matrix`` in ranking order, cut to top_k."""
-    order = _lex_order(matrix, dists)[:top_k]
+    # Ties break lexicographically on the id sequence.
+    order = np.lexsort([*matrix.T[::-1], dists])[:cfg.top_k]
     return list(zip(map(tuple, matrix[order].tolist()), dists[order].tolist()))
 
 
@@ -381,17 +355,6 @@ def write_ranked_csv(path, ranked) -> None:
 # ----------------------------------------------------------------------
 # ordering helpers
 # ----------------------------------------------------------------------
-
-
-def _lex_order(rows: np.ndarray, dists: np.ndarray) -> np.ndarray:
-    """Sort order by (distance, location sequence); rows may be in row or id space.
-
-    Row indices are assigned in ascending id order, so lexicographic
-    comparison agrees between the two spaces.
-    """
-    keys = [rows[:, c] for c in range(rows.shape[1] - 1, -1, -1)]
-    keys.append(dists)
-    return np.lexsort(keys)
 
 
 def _smallest(dists: np.ndarray, k: int) -> np.ndarray:

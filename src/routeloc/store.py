@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import csv
 import struct
-from typing import Sequence
 
 import numpy as np
 from scipy.spatial.distance import cdist
+
+from .world import rows_in
 
 MAGIC = b"EMB1"
 
@@ -52,19 +53,10 @@ class DescriptorStore:
         return len(self.ids)
 
     def row_of(self, loc_id: int) -> int:
-        r = int(np.searchsorted(self.ids, int(loc_id)))
-        if r >= len(self.ids) or self.ids[r] != loc_id:
-            raise KeyError(f"no descriptor for id {loc_id}")
-        return r
+        return int(self.rows_of(loc_id))
 
     def rows_of(self, loc_ids) -> np.ndarray:
-        ids = np.asarray(loc_ids, dtype=np.int64)
-        rows = np.searchsorted(self.ids, ids)
-        clipped = np.minimum(rows, len(self.ids) - 1)
-        bad = self.ids[clipped] != ids
-        if np.any(bad):
-            raise KeyError(f"no descriptor for id {int(ids.flat[np.argmax(bad)])}")
-        return rows
+        return rows_in(self.ids, loc_ids, KeyError)
 
     def vector(self, loc_id: int) -> np.ndarray:
         return self.vectors[self.row_of(loc_id)]
@@ -183,10 +175,3 @@ class DescriptorStore:
         if not ids:
             raise StoreFormatError(f"{path}: no descriptor rows")
         return cls(np.array(ids), np.array(vecs))
-
-
-def build_store(ids: Sequence[int], latents, enc, cfg) -> DescriptorStore:
-    """Encode a stack of latents into a store (used for map-side reference sets)."""
-    from .embedding import encode_batch
-
-    return DescriptorStore(np.asarray(ids), encode_batch(np.asarray(latents), enc, cfg))

@@ -39,6 +39,22 @@ class GraphInvariantError(ValueError):
     """Raised when a graph violates a structural invariant; names the offending id."""
 
 
+def rows_in(sorted_ids: np.ndarray, ids, error: type[Exception]) -> np.ndarray:
+    """Positions of ``ids`` (any shape, 0-d included) in the ascending ``sorted_ids``.
+
+    Raises ``error`` naming the first id, in flat order, that is missing.
+    """
+    ids = np.asarray(ids, dtype=np.int64)
+    rows = np.searchsorted(sorted_ids, ids)
+    if len(sorted_ids):
+        bad = sorted_ids[np.minimum(rows, len(sorted_ids) - 1)] != ids
+    else:
+        bad = np.ones(ids.shape, dtype=bool)
+    if bad.any():
+        raise error(f"unknown location id {int(ids.flat[np.argmax(bad)])}")
+    return rows
+
+
 @dataclass
 class Location:
     """One discrete map location.
@@ -204,7 +220,6 @@ class MapGraph:
                     tags[r, t] = True
         self._ids = ids
         self._pos = pos
-        self._row_of = row_of
         self._nbr = nbr
         self._tags = tags
         self._index_built = True
@@ -228,23 +243,12 @@ class MapGraph:
         return self._nbr
 
     def row_of(self, loc_id: int) -> int:
-        self._build_index()
-        try:
-            return self._row_of[int(loc_id)]
-        except KeyError:
-            raise GraphInvariantError(f"unknown location id {loc_id}") from None
+        return int(self.rows_of(loc_id))
 
     def rows_of(self, loc_ids) -> np.ndarray:
-        """Map an array of ids to row indices (raises on unknown ids)."""
+        """Row indices of an array of ids, same shape (raises on unknown ids)."""
         self._build_index()
-        ids = np.asarray(loc_ids, dtype=np.int64)
-        rows = np.searchsorted(self._ids, ids)
-        bad = (rows >= len(self._ids)) | (self._ids[np.minimum(rows, len(self._ids) - 1)] != ids)
-        if np.any(bad):
-            raise GraphInvariantError(
-                f"unknown location id {int(ids[np.argmax(bad)])}"
-            )
-        return rows
+        return rows_in(self._ids, loc_ids, GraphInvariantError)
 
     def allowed_mask(self, exclusions: Iterable[str] = ()) -> np.ndarray:
         """Boolean row mask of locations carrying none of the excluded tags."""
@@ -420,31 +424,6 @@ def enumerate_routes(g: MapGraph, m: int, exclusions: Iterable[str] = ()) -> set
     return routes
 
 
-def extend_routes(routes: Iterable[Route], g: MapGraph, exclusions: Iterable[str] = ()) -> set:
-    """Extend every length-m route by each legal next location (length m+1 results).
-
-    Rejects a mixed-length input set.  Routes with no legal extension simply
-    contribute nothing.
-    """
-    routes = list(routes)
-    if not routes:
-        return set()
-    lengths = {len(r) for r in routes}
-    if len(lengths) != 1:
-        raise ValueError(f"mixed route lengths in input: {sorted(lengths)}")
-    excl = frozenset(exclusions)
-    out: set[Route] = set()
-    for r in routes:
-        members = set(r)
-        for nb in g.neighbors_of(r[-1]):
-            if nb in members:
-                continue
-            if g.location(nb).tags & excl:
-                continue
-            out.add(r + (nb,))
-    return out
-
-
 # ----------------------------------------------------------------------
 # turn patterns
 # ----------------------------------------------------------------------
@@ -488,19 +467,18 @@ def turn_pattern(route: Route, g: MapGraph, threshold: float = DEFAULT_TURN_THRE
     return tuple(turn_pattern_matrix(np.asarray([route]), g, threshold)[0].tolist())
 
 
-def turn_pattern_matrix(route_matrix: np.ndarray, g: MapGraph,
+def turn_pattern_matrix(routes: np.ndarray, g: MapGraph,
                         threshold: float = DEFAULT_TURN_THRESHOLD) -> np.ndarray:
     """Vectorized turn patterns for many routes at once.
 
-    ``route_matrix`` holds location ids, shape (R, m) with m >= 2; returns a
+    ``routes`` holds location ids, shape (R, m) with m >= 2; returns a
     uint8 array of shape (R, m-1) following the same convention as
     :func:`turn_pattern`.
     """
-    rm = np.asarray(route_matrix)
+    rm = np.asarray(routes)
     if rm.ndim != 2 or rm.shape[1] < 2:
         raise ValueError("route matrix must be (R, m) with m >= 2")
-    rows = g.rows_of(rm.ravel()).reshape(rm.shape)
-    p = g.position_array[rows]                      # (R, m, 2)
+    p = g.position_array[g.rows_of(rm)]             # (R, m, 2)
     bits = np.zeros((rm.shape[0], rm.shape[1] - 1), dtype=np.uint8)
     bits[:, 1:] = turn_bits(p[:, :-2], p[:, 1:-1], p[:, 2:], threshold)
     return bits

@@ -1,4 +1,8 @@
-"""Hand-crafted baselines: binary code reading, Hamming ranking, turn matching."""
+"""Hand-crafted baselines: binary code reading, Hamming ranking, turn matching.
+
+Ranking runs through the localizer's stepped search, as in the benchmark
+sweeps: BSD with Hamming costs per step, turn-only with all-zero costs.
+"""
 import numpy as np
 import pytest
 
@@ -6,15 +10,33 @@ from routeloc import (
     BSD_TAG_ORDER,
     BsdNoise,
     LocalizerConfig,
+    advance_candidates,
     bsd_from_map,
-    bsd_localize,
     enumerate_routes,
     hamming_cost_vector,
     map_code_matrix,
     simulate_query_codes,
-    turn_only_localize,
+    start_candidates,
     turn_pattern,
 )
+
+def search(g, cost_seq, turns=None):
+    """Stepped search over per-step costs, turn-filtered when ``turns`` is given."""
+    cfg = LocalizerConfig(use_turns=turns is not None)
+    state = start_candidates(g, cost_seq[0], cfg=cfg)
+    for i, costs in enumerate(cost_seq[1:]):
+        state = advance_candidates(state, costs, None if turns is None else turns[i], cfg)
+    return state
+
+
+def bsd_search(query_codes, g, turns=None):
+    codes = map_code_matrix(g)
+    return search(g, [hamming_cost_vector(codes, qc) for qc in query_codes], turns)
+
+
+def turn_only_routes(turns, g):
+    state = search(g, [np.zeros(len(g))] * (len(turns) + 1), turns)
+    return [r for r, _ in state.ranked()]
 
 
 def oracle_bsd_ranking(query_codes, routes, g, turns=None, threshold=30.0):
@@ -107,7 +129,7 @@ class TestBsdLocalize:
         rng = np.random.default_rng(2)
         for _ in range(5):
             query = [tuple(rng.integers(0, 2, 4)) for _ in range(3)]
-            got = bsd_localize(query, routes, tee_graph)
+            got = bsd_search(query, tee_graph).ranked()
             assert got == oracle_bsd_ranking(query, routes, tee_graph)
 
     def test_noiseless_truth_ties_break_lexicographically(self, tee_graph):
@@ -115,7 +137,7 @@ class TestBsdLocalize:
         # with (0,1,3) at distance zero and must win on id order.
         truth = (0, 1, 2)
         query = [bsd_from_map(i, tee_graph) for i in truth]
-        got = bsd_localize(query, enumerate_routes(tee_graph, 3), tee_graph)
+        got = bsd_search(query, tee_graph).ranked()
         assert got[0] == ((0, 1, 2), 0.0)
         assert got[1] == ((0, 1, 3), 0.0)
         assert got[2][1] > 0.0
@@ -124,49 +146,30 @@ class TestBsdLocalize:
         routes = enumerate_routes(tee_graph, 3)
         query = [bsd_from_map(i, tee_graph) for i in (0, 1, 3)]
         turns = turn_pattern((0, 1, 3), tee_graph)
-        got = bsd_localize(query, routes, tee_graph, turns=turns,
-                           cfg=LocalizerConfig(use_turns=True))
+        got = bsd_search(query, tee_graph, turns).ranked()
         want = oracle_bsd_ranking(query, routes, tee_graph, turns=turns)
         assert got == want
         assert all(turn_pattern(r, tee_graph) == turns for r, _ in got)
 
     def test_top_k(self, tee_graph):
-        routes = enumerate_routes(tee_graph, 2)
-        query = [(0, 0, 0, 0), (1, 1, 1, 1)]
-        full = bsd_localize(query, routes, tee_graph)
-        cut = bsd_localize(query, routes, tee_graph, cfg=LocalizerConfig(top_k=3))
-        assert cut == full[:3]
+        state = bsd_search([(0, 0, 0, 0), (1, 1, 1, 1)], tee_graph)
+        assert state.ranked(3) == state.ranked()[:3]
 
-    def test_empty_routes(self, tee_graph):
-        assert bsd_localize([(0, 0, 0, 0)], [], tee_graph) == []
-
-    def test_validation(self, tee_graph):
-        with pytest.raises(ValueError, match="at least one query code"):
-            bsd_localize([], [(0, 1)], tee_graph)
-        with pytest.raises(ValueError, match="query length"):
-            bsd_localize([(0, 0, 0, 0)], [(0, 1)], tee_graph)
-        with pytest.raises(ValueError, match="must have 1 bits"):
-            bsd_localize([(0, 0, 0, 0)] * 2, [(0, 1)], tee_graph, turns=(0, 1),
-                         cfg=LocalizerConfig(use_turns=True))
+    def test_empty_routes(self, path_graph):
+        # A collinear graph has no turns, so a bent pattern leaves no route.
+        assert bsd_search([(0, 0, 0, 0)] * 3, path_graph, turns=(0, 1)).ranked() == []
 
 
 class TestTurnOnly:
     def test_bent_pattern(self, tee_graph):
-        routes = enumerate_routes(tee_graph, 3)
-        got = turn_only_localize((0, 1), routes, tee_graph)
+        got = turn_only_routes((0, 1), tee_graph)
         assert got == [(0, 1, 3), (2, 1, 3), (3, 1, 0), (3, 1, 2)]
 
     def test_straight_pattern(self, tee_graph):
-        got = turn_only_localize((0, 0), enumerate_routes(tee_graph, 3), tee_graph)
-        assert got == [(0, 1, 2), (2, 1, 0)]
+        assert turn_only_routes((0, 0), tee_graph) == [(0, 1, 2), (2, 1, 0)]
 
     def test_matches_manual_filter(self, path_graph):
         routes = enumerate_routes(path_graph, 3)
-        got = turn_only_localize((0, 0), routes, path_graph)
         want = sorted(r for r in routes if turn_pattern(r, path_graph) == (0, 0))
-        assert got == want
-        assert turn_only_localize((0, 1), routes, path_graph) == []
-
-    def test_length_mismatch(self, tee_graph):
-        with pytest.raises(ValueError, match="does not fit"):
-            turn_only_localize((0,), [(0, 1, 2)], tee_graph)
+        assert turn_only_routes((0, 0), path_graph) == want
+        assert turn_only_routes((0, 1), path_graph) == []

@@ -1,0 +1,47 @@
+"""Every module-level function and class in the package is used by the program.
+
+A definition counts as used when some name or attribute elsewhere in the
+package, in the benchmark harness or in the acceptance tests refers to it.
+Re-exports in ``__init__.py`` and unit tests do not count, so code that only
+unit tests call shows up here.
+"""
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "routeloc"
+
+
+def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set:
+    """Names and attributes that ``tree`` refers to, outside the subtree ``skip``."""
+    names = set()
+    stack = [tree]
+    while stack:
+        node = stack.pop()
+        if node is skip:
+            continue
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+        stack.extend(ast.iter_child_nodes(node))
+    return names
+
+
+def test_no_definition_is_unused():
+    modules = {p.name: ast.parse(p.read_text(encoding="utf-8"))
+               for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
+    refs = {name: _referenced_names(tree) for name, tree in modules.items()}
+    for path in [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]:
+        refs[str(path)] = _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    unused = []
+    for name, tree in modules.items():
+        elsewhere = set().union(*(r for other, r in refs.items() if other != name))
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name not in elsewhere and node.name not in _referenced_names(tree, skip=node):
+                unused.append(f"{name}:{node.lineno} {node.name}")
+    assert not unused, "defined but never used outside unit tests: " + ", ".join(unused)

@@ -151,6 +151,10 @@ class TestNormalizeScale:
         with pytest.raises(ValueError, match="non-finite"):
             normalize_scale(np.array([1.0, bad, 2.0]))
 
+    def test_rejects_overflowing_norm(self):
+        with pytest.raises(ValueError, match="norm overflows"):
+            normalize_scale(np.array([1e200, 1e200]))
+
     @given(st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=2, max_size=16))
     @settings(max_examples=200, deadline=None)
     def test_norm_invariant(self, vals):
@@ -219,6 +223,10 @@ class TestEncode:
         with pytest.raises(ValueError, match="non-finite"):
             encode(np.ones(4), Encoder(weights, np.zeros(4)), cfg)
 
+    def test_encode_rejects_overflowing_norm(self):
+        with pytest.raises(ValueError, match="norm overflows"):
+            encode(np.array([1e200, 1e200]), Encoder(np.eye(2), np.zeros(2)), LossConfig(dim=2))
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_encode_batch_rejects_non_finite(self, bad):
         cfg = LossConfig(dim=4)
@@ -232,6 +240,11 @@ class TestEncode:
         bias[3] = bad
         with pytest.raises(ValueError, match="encoder produced a non-finite vector"):
             encode_batch(np.ones((3, 4)), Encoder(np.eye(4), bias), cfg)
+
+    def test_encode_batch_rejects_overflowing_norm(self):
+        lat = np.array([[1.0, 2.0], [1e200, 1e200]])
+        with pytest.raises(ValueError, match="norm overflows"):
+            encode_batch(lat, Encoder(np.eye(2), np.zeros(2)), LossConfig(dim=2))
 
 
 class TestBatchLoss:

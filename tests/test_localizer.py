@@ -24,7 +24,6 @@ from routeloc import (
     generate_synthetic_world,
     localize_full,
     localize_step,
-    route_distance,
     start_candidates,
     turn_pattern,
     write_ranked_csv,
@@ -136,25 +135,6 @@ class TestConfig:
         cfg = LocalizerConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
             cfg.top_k = 3
-
-
-class TestRouteDistance:
-    def test_hand_case(self):
-        q = np.array([[0.0, 0.0], [1.0, 1.0]])
-        c = np.array([[3.0, 4.0], [1.0, 1.0]])
-        assert route_distance(q, c) == pytest.approx(5.0)
-
-    def test_matches_loop(self):
-        rng = np.random.default_rng(1)
-        q, c = rng.normal(0, 1, (2, 6, 3))
-        want = sum(float(np.linalg.norm(q[i] - c[i])) for i in range(6))
-        assert route_distance(q, c) == pytest.approx(want, rel=1e-15)
-
-    def test_shape_errors(self):
-        with pytest.raises(ValueError, match="share shape"):
-            route_distance(np.ones((2, 3)), np.ones((3, 3)))
-        with pytest.raises(ValueError, match="share shape"):
-            route_distance(np.ones(3), np.ones(3))
 
 
 class TestLocalizeFull:

@@ -7,14 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from routeloc import (
-    DescriptorStore,
-    Encoder,
-    LossConfig,
-    StoreFormatError,
-    build_store,
-    encode_batch,
-)
+from routeloc import DescriptorStore, StoreFormatError
 
 
 @pytest.fixture
@@ -278,15 +271,3 @@ class TestCsvFormat:
         path.write_text(text)
         with pytest.raises(StoreFormatError, match=msg):
             DescriptorStore.load(path)
-
-
-class TestBuildStore:
-    def test_matches_encode_batch(self):
-        rng = np.random.default_rng(3)
-        cfg = LossConfig(dim=5)
-        enc = Encoder(rng.normal(0, 1, (5, 4)), rng.normal(0, 1, 5))
-        lat = rng.normal(0, 1, (6, 4))
-        s = build_store([3, 1, 4, 0, 9, 2], lat, enc, cfg)
-        want = encode_batch(lat, enc, cfg)
-        for i, loc in enumerate([3, 1, 4, 0, 9, 2]):
-            np.testing.assert_array_equal(s.vector(loc), want[i])

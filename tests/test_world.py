@@ -7,14 +7,15 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from routeloc import (
+    DescriptorStore,
     GraphFormatError,
     GraphInvariantError,
     Location,
     MapGraph,
     TAG_NAMES,
+    WorldViews,
     bearing_deg,
     enumerate_routes,
-    extend_routes,
     load_graph,
     save_graph,
     turn_pattern,
@@ -150,6 +151,8 @@ class TestRowIndex:
     def test_rows_of_unknown(self, tee_graph):
         with pytest.raises(GraphInvariantError, match="unknown location id"):
             tee_graph.rows_of([0, 42])
+        with pytest.raises(GraphInvariantError, match="unknown location id 0"):
+            MapGraph([]).rows_of([0])
 
     def test_rows_of_noncontiguous_ids(self):
         locs = [
@@ -160,6 +163,30 @@ class TestRowIndex:
         g = MapGraph(locs)
         assert np.array_equal(g.rows_of([30, 4, 17]), [2, 0, 1])
         assert g.row_of(17) == 1
+
+    @pytest.mark.parametrize("owner,error", [
+        ("graph", GraphInvariantError), ("store", KeyError), ("views", ValueError),
+    ])
+    @pytest.mark.parametrize("known,unknown", [
+        (np.array(3), np.array(42)),
+        ([3, 0], [0, 42]),
+        ([[3, 0], [1, 2]], [[3, 0], [1, 42]]),
+        ([], None),
+    ], ids=["0-d", "1-D", "2-D", "empty"])
+    def test_every_lookup_keeps_shape_and_names_missing_id(self, tee_graph, owner, error,
+                                                           known, unknown):
+        lookup = {
+            "graph": tee_graph,
+            "store": DescriptorStore(tee_graph.id_array, np.eye(4)),
+            "views": WorldViews.from_graph(tee_graph),
+        }[owner]
+        rows = lookup.rows_of(known)
+        assert rows.shape == np.shape(known)
+        np.testing.assert_array_equal(tee_graph.id_array[rows], known)
+        if unknown is not None:
+            with pytest.raises(error, match="unknown location id 42") as exc:
+                lookup.rows_of(unknown)
+            assert type(exc.value) is error
 
     def test_allowed_mask(self, tee_graph):
         g = tee_graph
@@ -366,23 +393,6 @@ class TestRouteEnumeration:
     def test_bad_length(self, tee_graph):
         with pytest.raises(ValueError, match="route length"):
             enumerate_routes(tee_graph, 0)
-
-    def test_extend_matches_enumerate(self, tee_graph):
-        for m in (1, 2, 3):
-            extended = extend_routes(enumerate_routes(tee_graph, m), tee_graph)
-            assert extended == enumerate_routes(tee_graph, m + 1)
-
-    def test_extend_respects_exclusions(self, tee_graph):
-        base = enumerate_routes(tee_graph, 2, exclusions={"tunnel"})
-        extended = extend_routes(base, tee_graph, exclusions={"tunnel"})
-        assert extended == enumerate_routes(tee_graph, 3, exclusions={"tunnel"})
-
-    def test_extend_rejects_mixed_lengths(self, tee_graph):
-        with pytest.raises(ValueError, match="mixed route lengths"):
-            extend_routes({(0, 1), (0, 1, 2)}, tee_graph)
-
-    def test_extend_empty_input(self, tee_graph):
-        assert extend_routes(set(), tee_graph) == set()
 
 
 class TestTurnPatterns:
