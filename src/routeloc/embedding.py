@@ -4,14 +4,18 @@ Two linear encoders map map-side and image-side latents into a shared
 descriptor space.  Descriptors are L2-normalized and scaled to a fixed norm.
 Training minimizes a weighted soft-margin ranking loss over four families of
 triplet constraints built from all matched/unmatched pairs in a batch
-(batch-all mining), with closed-form gradients through the normalization.
+(batch-all mining).  The families are blocks of one pairwise distance table
+over both domains, with closed-form gradients through the table and the
+normalization.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+from scipy.spatial.distance import cdist
 
 from .world import MapGraph, rows_in
 
@@ -114,12 +118,12 @@ class LossConfig:
     dim: int = DEFAULT_DIM
 
     def __post_init__(self):
-        if not self.alpha > 0:
-            raise ValueError(f"alpha must be positive, got {self.alpha}")
-        if len(self.lambdas) != 4 or any(l < 0 for l in self.lambdas):
-            raise ValueError(f"lambdas must be 4 non-negative weights, got {self.lambdas}")
-        if not self.scale > 0:
-            raise ValueError(f"scale must be positive, got {self.scale}")
+        if not 0 < self.alpha < math.inf:
+            raise ValueError(f"alpha must be positive and finite, got {self.alpha}")
+        if len(self.lambdas) != 4 or not all(0 <= l < math.inf for l in self.lambdas):
+            raise ValueError(f"lambdas must be 4 finite non-negative weights, got {self.lambdas}")
+        if not 0 < self.scale < math.inf:
+            raise ValueError(f"scale must be positive and finite, got {self.scale}")
         if self.dim < 1:
             raise ValueError(f"dim must be >= 1, got {self.dim}")
 
@@ -133,8 +137,8 @@ class AugmentationConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.jitter_sigma < 0:
-            raise ValueError(f"jitter_sigma must be >= 0, got {self.jitter_sigma}")
+        if not 0 <= self.jitter_sigma < math.inf:
+            raise ValueError(f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma}")
         if self.scale_pick not in ("random", "s1", "s2"):
             raise ValueError(f"unknown scale_pick rule {self.scale_pick!r}")
 
@@ -185,13 +189,7 @@ def encode_batch(latents, enc: Encoder, cfg: LossConfig) -> np.ndarray:
     raw = latents @ enc.weights.T + enc.bias
     if not np.isfinite(raw).all():
         raise ValueError("encoder produced a non-finite vector; cannot normalize")
-    with np.errstate(over="ignore"):
-        norms = np.linalg.norm(raw, axis=-1, keepdims=True)
-    if not np.isfinite(norms).all():
-        raise ValueError("encoder produced a vector whose norm overflows; cannot normalize")
-    if np.any(norms <= _EPS):
-        raise ValueError("encoder produced a zero vector; cannot normalize")
-    return cfg.scale * raw / norms
+    return _normalized(raw, cfg.scale)[0]
 
 
 # ----------------------------------------------------------------------
@@ -321,101 +319,81 @@ def batch_loss(batch: TrainBatch, g_enc: Encoder, f_enc: Encoder,
     lambda, and the result is the mean over families that contain at least
     one triplet (with k = 1 the intra-domain families are empty and drop
     out, so a batch of coinciding embeddings always yields ln 2).
+
+    The families are blocks of one distance table over the stacked
+    descriptors [x; y].  Their soft-margin weights fill one table of loss
+    derivatives by distance, which one formula turns into descriptor
+    gradients (none for a pair of coinciding descriptors).
     """
     zx, zy = batch.map_latents, batch.image_latents
     x, x_norms = _forward(zx, g_enc, cfg)
     y, y_norms = _forward(zy, f_enc, cfg)
-
-    l1, l2, l3, l4 = cfg.lambdas
-    families = (
-        (l1, _family_terms(x, y, cfg.alpha, intra=False), "xy"),
-        (l2, _family_terms(y, x, cfg.alpha, intra=False), "yx"),
-        (l3, _family_terms(x, x, cfg.alpha, intra=True), "xx"),
-        (l4, _family_terms(y, y, cfg.alpha, intra=True), "yy"),
-    )
-    active = sum(1 for _, (_, count, _, _), _ in families if count > 0)
+    n, k, dim = x.shape
+    # Rows ordered (domain, location, augmentation); domain 0 is x, 1 is y.
+    e = np.concatenate([x, y]).reshape(2 * n * k, dim)
+    dist = cdist(e, e)
+    # valid[i, k, l, j, m]: the negative's location j differs from the
+    # anchor's i and, within one domain, the positive's augmentation l from k.
+    cross = np.broadcast_to(~np.eye(n, dtype=bool)[:, None, None, :, None], (n, k, k, n, k))
+    intra = cross & ~np.eye(k, dtype=bool)[None, :, :, None, None]
+    families = [(a, b, lam, cross if a != b else intra)
+                for (a, b), lam in zip(((0, 1), (1, 0), (0, 0), (1, 1)), cfg.lambdas)]
+    active = sum(valid.any() for *_, valid in families)
     if active == 0:
         raise ValueError("batch produced no triplets")
 
     loss = 0.0
-    gx = np.zeros_like(x)
-    gy = np.zeros_like(y)
-    for lam, (lsum, count, ga, gb), kind in families:
+    # grad[a, i, k, b, j, m]: dL/d dist between descriptor (a, i, k) and (b, j, m).
+    grad = np.zeros((2, n, k, 2, n, k))
+    dist6 = dist.reshape(grad.shape)
+    ar = np.arange(n)
+    for a, b, lam, valid in families:
+        count = np.count_nonzero(valid)
         if count == 0:
             continue
+        d = dist6[a, :, :, b]
+        z = np.where(valid, d[ar, :, ar, :][..., None, None] - d[:, :, None], 0.0)
         w = lam / (count * active)
-        loss += w * lsum
-        if kind == "xy":
-            gx += w * ga
-            gy += w * gb
-        elif kind == "yx":
-            gy += w * ga
-            gx += w * gb
-        elif kind == "xx":
-            gx += w * (ga + gb)
-        else:
-            gy += w * (ga + gb)
+        loss += w * float(np.where(valid, soft_margin_loss(z, cfg.alpha), 0.0).sum())
+        wz = w * np.where(valid, soft_margin_grad(z, cfg.alpha), 0.0)
+        block = grad[a, :, :, b]
+        block[ar, :, ar, :] += wz.sum(axis=(3, 4))
+        block -= wz.sum(axis=2)
 
-    gw_g, gb_g = _backward(gx, x, x_norms, zx, cfg.scale)
-    gw_f, gb_f = _backward(gy, y, y_norms, zy, cfg.scale)
+    # dist[p, q] pulls e_p along (e_p - e_q) / dist[p, q] and e_q the opposite
+    # way; s = c + c.T gathers both orders, so grad_e[p] = sum_q s[p, q] (e_p - e_q).
+    c = np.divide(grad.reshape(dist.shape), dist, out=np.zeros_like(dist), where=dist > _EPS)
+    s = c + c.T
+    g_emb = (s.sum(axis=1)[:, None] * e - s @ e).reshape(2, n, k, dim)
+    gw_g, gb_g = _backward(g_emb[0], x, x_norms, zx, cfg.scale)
+    gw_f, gb_f = _backward(g_emb[1], y, y_norms, zy, cfg.scale)
     return float(loss), BatchGradients(gw_g, gb_g, gw_f, gb_f)
 
 
-def _forward(latents, enc, cfg):
-    raw = latents @ enc.weights.T + enc.bias
-    norms = np.linalg.norm(raw, axis=-1)
+def _normalized(raw, scale):
+    """scale * raw / ||raw|| on the last axis, and the norms; NaN passes through."""
+    with np.errstate(over="ignore"):
+        norms = np.linalg.norm(raw, axis=-1, keepdims=True)
+    if np.isinf(norms).any():
+        raise ValueError("encoder produced a vector whose norm overflows; cannot normalize")
     if np.any(norms <= _EPS):
         raise ValueError("encoder produced a zero vector; cannot normalize")
-    return cfg.scale * raw / norms[..., None], norms
+    return scale * raw / norms, norms
+
+
+def _forward(latents, enc, cfg):
+    return _normalized(latents @ enc.weights.T + enc.bias, cfg.scale)
 
 
 def _backward(g_emb, emb, norms, latents, scale):
     # Through e = scale * u/||u||:  dL/du = (scale/||u||) (g - uhat (uhat . g))
     uhat = emb / scale
     proj = (uhat * g_emb).sum(axis=-1, keepdims=True)
-    du = (scale / norms[..., None]) * (g_emb - uhat * proj)
+    du = (scale / norms) * (g_emb - uhat * proj)
     du_flat = du.reshape(-1, du.shape[-1])
     gw = du_flat.T @ latents.reshape(-1, latents.shape[-1])
     gb = du_flat.sum(axis=0)
     return gw, gb
-
-
-def _family_terms(a_emb, b_emb, alpha, intra):
-    """Loss sum, triplet count, and embedding gradients for one family.
-
-    ``a_emb`` supplies anchors, ``b_emb`` positives and negatives; positives
-    share the anchor's location, negatives come from other locations.  With
-    ``intra`` the positive must use a different augmentation (k != l).
-    Returned gradients carry the per-triplet soft-margin weights but not the
-    lambda / count normalization.
-    """
-    n, k, _ = a_emb.shape
-    diff = a_emb[:, :, None, None, :] - b_emb[None, None, :, :, :]   # (n,k,n,k,D)
-    dist = np.sqrt(np.maximum((diff * diff).sum(-1), 0.0))           # (n,k,n,k)
-    ar = np.arange(n)
-    pos = dist[ar, :, ar, :]                                         # (n,k,k): d(a_ik, b_il)
-    z = pos[:, :, :, None, None] - dist[:, :, None, :, :]            # (n,k,l,j,m)
-    valid = np.broadcast_to(~np.eye(n, dtype=bool)[:, None, None, :, None], z.shape).copy()
-    if intra:
-        valid &= ~np.eye(k, dtype=bool)[None, :, :, None, None]
-    count = int(valid.sum())
-    if count == 0:
-        return 0.0, 0, np.zeros_like(a_emb), np.zeros_like(b_emb)
-
-    zv = np.where(valid, z, 0.0)
-    loss_sum = float(np.where(valid, soft_margin_loss(zv, alpha), 0.0).sum())
-    w = np.where(valid, soft_margin_grad(zv, alpha), 0.0)
-
-    g_pos = w.sum(axis=(3, 4))       # (n,k,l): dL/d pos distance
-    g_neg = -w.sum(axis=2)           # (n,k,j,m): dL/d neg distance
-
-    unit = diff / np.maximum(dist[..., None], _EPS)
-    unit_pos = unit[ar, :, ar, :, :]                                 # (n,k,l,D)
-    ga = np.einsum("ikl,ikld->ikd", g_pos, unit_pos)
-    gb = -np.einsum("ikl,ikld->ild", g_pos, unit_pos)
-    ga += np.einsum("ikjm,ikjmd->ikd", g_neg, unit)
-    gb -= np.einsum("ikjm,ikjmd->jmd", g_neg, unit)
-    return loss_sum, count, ga, gb
 
 
 # ----------------------------------------------------------------------

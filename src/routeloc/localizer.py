@@ -39,7 +39,6 @@ from .world import (
     TurnPattern,
     bearing_turns,
     segment_bearings,
-    turn_bits,
     turn_pattern_matrix,
 )
 
@@ -70,6 +69,8 @@ class LocalizerConfig:
             raise ValueError(f"cull_floor must be >= 1, got {self.cull_floor}")
         if self.top_k is not None and self.top_k < 1:
             raise ValueError(f"top_k must be >= 1 or None, got {self.top_k}")
+        if not 0.0 <= self.turn_threshold < 180.0:
+            raise ValueError(f"turn_threshold must be in [0, 180), got {self.turn_threshold}")
 
 
 class RouteTree:
@@ -242,10 +243,14 @@ def advance_candidates(state: CandidateSet, costs, next_turn_bit=None,
     and free of excluded tags.  With ``cfg.use_turns`` and a query turn bit,
     extensions whose geometric turn bit disagrees are dropped.  Then the
     worst ceil(cull_fraction * n) candidates by cumulative distance are
-    culled, never dropping below ``cull_floor`` survivors.
+    culled, never dropping below ``cull_floor`` survivors.  ``cfg`` must
+    keep the turn threshold the candidate set was started with.
     """
     costs = _check_costs(state.graph, costs)
     tree = state.tree
+    if cfg.turn_threshold != tree.threshold:
+        raise ValueError(f"turn_threshold {cfg.turn_threshold} differs from the "
+                         f"{tree.threshold} the candidate set was started with")
     nodes = state._steps[-1][0]
     first = tree.first[nodes]
     fresh = np.nonzero(first < 0)[0]
@@ -260,15 +265,7 @@ def advance_candidates(state: CandidateSet, costs, next_turn_bit=None,
     child = np.arange(len(src), dtype=np.int32) + np.repeat(
         first - np.cumsum(counts, dtype=np.int32) + counts, counts)
     if cfg.use_turns and next_turn_bit is not None:
-        if cfg.turn_threshold == tree.threshold or state.length_m == 1:
-            bits = tree.bit[child]
-        else:
-            # A threshold other than the tree's: compute the bits from geometry.
-            p = state.graph.position_array
-            before = state._steps[-2][0][state._steps[-1][1]]
-            bits = turn_bits(p[tree.row[before[src]]], p[tree.row[nodes[src]]],
-                             p[tree.row[child]], cfg.turn_threshold)
-        keep = bits == bool(next_turn_bit)
+        keep = tree.bit[child] == bool(next_turn_bit)
         child, src = child[keep], src[keep]
     dists = state._dists[src] + costs[tree.row[child]]
     keep = _survivors(dists, cfg)

@@ -118,6 +118,16 @@ class TestEmbedCommands:
         assert ret == 2
         assert "error[config]: encoder produced a non-finite vector" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("flag,value,name", [("--alpha", "inf", "alpha"),
+                                                 ("--scale", "inf", "scale"),
+                                                 ("--jitter", "nan", "jitter_sigma")])
+    def test_train_rejects_non_finite_config(self, pipeline, tmp_path, capsys,
+                                             flag, value, name):
+        ret = main(["embed", "train", "--graph", str(pipeline["graph"]), flag, value,
+                    "--out", str(tmp_path / "out")])
+        assert ret == 2
+        assert f"error[config]: {name} must be" in capsys.readouterr().err
+
 
 class TestEvalCommands:
     def test_recall(self, pipeline, tmp_path, capsys):

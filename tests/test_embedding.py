@@ -183,6 +183,27 @@ class TestPairCounts:
             pair_counts(10, 0)
 
 
+class TestLossConfig:
+    @pytest.mark.parametrize(
+        "kwargs,match",
+        [
+            (dict(alpha=0.0), "alpha"),
+            (dict(alpha=math.inf), "alpha"),
+            (dict(alpha=math.nan), "alpha"),
+            (dict(scale=-1.0), "scale"),
+            (dict(scale=math.inf), "scale"),
+            (dict(lambdas=(1.0, 1.0, 1.0)), "lambdas"),
+            (dict(lambdas=(1.0, -0.1, 1.0, 1.0)), "lambdas"),
+            (dict(lambdas=(1.0, math.nan, 1.0, 1.0)), "lambdas"),
+            (dict(lambdas=(1.0, 1.0, math.inf, 1.0)), "lambdas"),
+            (dict(dim=0), "dim"),
+        ],
+    )
+    def test_rejects_invalid(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            LossConfig(**kwargs)
+
+
 class TestEncode:
     def test_batch_matches_single(self):
         rng = np.random.default_rng(1)
@@ -286,14 +307,39 @@ class TestBatchLoss:
         cfg = LossConfig(alpha=0.25, lambdas=(0.8, 0.8, 1.1, 1.1), dim=5)
         batch, g_enc, f_enc = random_setup(rng, 3, 2, 4, 5)
         swapped = TrainBatch(batch.location_ids, batch.image_latents, batch.map_latents)
-        a, _ = batch_loss(batch, g_enc, f_enc, cfg)
-        b, _ = batch_loss(swapped, f_enc, g_enc, cfg)
+        a, ga = batch_loss(batch, g_enc, f_enc, cfg)
+        b, gb = batch_loss(swapped, f_enc, g_enc, cfg)
         assert a == pytest.approx(b, rel=1e-12)
+        # Swapping the domains swaps the encoders' gradients.
+        for mine, theirs in (("g_weights", "f_weights"), ("g_bias", "f_bias"),
+                             ("f_weights", "g_weights"), ("f_bias", "g_bias")):
+            np.testing.assert_allclose(getattr(ga, mine), getattr(gb, theirs),
+                                       rtol=1e-12, atol=1e-15)
 
-    def test_gradients_match_finite_differences(self):
+    def test_overflowing_norm_rejected(self):
+        # A finite latent whose encoded norm overflows must not become a
+        # zero descriptor that trains on silently.
+        z = np.ones((2, 1, 2))
+        z[1, 0] = 1e200
+        batch = TrainBatch(np.arange(2), z, np.ones((2, 1, 2)))
+        enc = Encoder(np.eye(2), np.zeros(2))
+        with pytest.raises(ValueError, match="norm overflows"):
+            batch_loss(batch, enc, enc, LossConfig(dim=2))
+
+    @pytest.mark.parametrize(
+        "n_b,k,lambdas",
+        [
+            (2, 1, (1.0, 0.7, 1.2, 0.9)),   # intra-domain families empty
+            (3, 2, (1.0, 0.7, 1.2, 0.9)),
+            (3, 2, (0.0, 0.7, 1.2, 0.0)),   # zero-weight families
+            (2, 3, (1.0, 0.0, 0.0, 0.9)),
+        ],
+        ids=["n2-k1", "n3-k2", "n3-k2-zero-lambdas", "n2-k3-zero-lambdas"],
+    )
+    def test_gradients_match_finite_differences(self, n_b, k, lambdas):
         rng = np.random.default_rng(7)
-        cfg = LossConfig(alpha=0.3, lambdas=(1.0, 0.7, 1.2, 0.9), dim=5)
-        batch, g_enc, f_enc = random_setup(rng, 3, 2, 4, 5)
+        cfg = LossConfig(alpha=0.3, lambdas=lambdas, dim=5)
+        batch, g_enc, f_enc = random_setup(rng, n_b, k, 4, 5)
         _, grads = batch_loss(batch, g_enc, f_enc, cfg)
         h = 1e-6
         worst = 0.0
@@ -388,8 +434,9 @@ class TestBuildBatch:
         assert 0 < is_s1.sum() < is_s1.size
 
     def test_aug_validation(self):
-        with pytest.raises(ValueError, match="jitter_sigma"):
-            AugmentationConfig(jitter_sigma=-0.1)
+        for sigma in (-0.1, math.nan, math.inf):
+            with pytest.raises(ValueError, match="jitter_sigma"):
+                AugmentationConfig(jitter_sigma=sigma)
         with pytest.raises(ValueError, match="scale_pick"):
             AugmentationConfig(scale_pick="s3")
 

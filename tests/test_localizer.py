@@ -125,6 +125,10 @@ class TestConfig:
             dict(cull_fraction=1.0),
             dict(cull_floor=0),
             dict(top_k=0),
+            dict(turn_threshold=float("nan")),
+            dict(turn_threshold=-1.0),
+            dict(turn_threshold=180.0),
+            dict(turn_threshold=float("inf")),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -390,22 +394,13 @@ class TestRouteTree:
                       excl if same_tree else ("tunnel",) if other_exclude else (), other_carry)
         assert run_chain(g, store, q, cfg, turns, excl, carry).ranked() == want
 
-    @given(tie_heavy_searches(), st.sampled_from([10.0, 30.0, 60.0]),
-           st.sampled_from([10.0, 30.0, 60.0]), carry_limits, st.data())
-    @settings(max_examples=100, deadline=None)
-    def test_step_threshold_other_than_start(self, search, start_th, step_th, carry, data):
-        g, store, q, turns = search
-        routes = sorted(enumerate_routes(g, len(q)))
-        if routes:
-            turns = turn_pattern(data.draw(st.sampled_from(routes)), g, step_th)
-        step_cfg = LocalizerConfig(use_turns=True, turn_threshold=step_th)
-        with carry_limit(carry):
-            state = start_candidates(g, store.cost_vector(q[0], g.id_array), (),
-                                     LocalizerConfig(use_turns=True, turn_threshold=start_th))
-            for i in range(1, len(q)):
-                state = localize_step(state, q[i], turns[i - 1], g, store, step_cfg)
-        want = localize_full(q, routes, store, graph=g, turns=turns, cfg=step_cfg)
-        assert state.ranked() == want
+    @pytest.mark.parametrize("use_turns", [False, True])
+    def test_step_threshold_other_than_start_raises(self, tee_graph, use_turns):
+        costs = np.zeros(4)
+        state = start_candidates(tee_graph, costs, (), LocalizerConfig(use_turns=use_turns))
+        with pytest.raises(ValueError, match="turn_threshold 45.0 differs"):
+            advance_candidates(state, costs, 1,
+                               LocalizerConfig(use_turns=use_turns, turn_threshold=45.0))
 
     def test_one_tree_per_exclusions_and_threshold(self, tee_graph):
         costs = np.zeros(4)
