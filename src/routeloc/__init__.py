@@ -41,7 +41,6 @@ from .embedding import (
     WorldViews,
     batch_loss,
     build_batch,
-    encode,
     encode_batch,
     normalize_scale,
     pair_counts,
@@ -50,6 +49,7 @@ from .embedding import (
     train_encoders,
 )
 from .localizer import (
+    CandidateBudgetError,
     CandidateSet,
     LocalizerConfig,
     RouteDescriptor,

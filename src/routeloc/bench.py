@@ -41,6 +41,12 @@ METHODS = ("ES", "ES+T", "BSD", "BSD+T", "T-only")
 
 DEFAULT_EXCLUSIONS = ("tunnel", "motorway")
 
+# Candidates a chunk of routes searched in lockstep aims to hold at once:
+# each chunk takes max(1, _LOCKSTEP_CANDIDATES // w) routes, where w is the
+# largest frontier per route the sweep has seen so far (the first chunk is
+# one route).
+_LOCKSTEP_CANDIDATES = 1 << 14
+
 
 class SimulationError(RuntimeError):
     """Raised when route simulation cannot reach the requested count."""
@@ -228,10 +234,16 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
     artifacts across experiments; anything missing is built from the config
     (encoders are trained only for embedding-based methods).
 
+    Routes are searched in chunks: one candidate set advances a chunk's
+    routes in lockstep to ``max_length``, then each route of the chunk is
+    scored in turn at every length.  The first chunk is one route; later
+    ones are sized from the largest frontier per route seen so far (see
+    ``_LOCKSTEP_CANDIDATES``).  Chunking changes no result.
+
     ``meta["stage_s"]`` splits the run into consecutive stages, in seconds:
     ``world`` (generating or loading the graph), ``views``, ``training``,
     ``costs`` (the map store, route and query simulation, query encoding
-    and each route's cost table), ``search`` (starting and advancing the
+    and each step's cost table), ``search`` (starting and advancing the
     candidate sets) and ``scoring`` (top-5 and success checks).  A skipped
     stage reads 0.0; the stages add up to at most ``meta["runtime_s"]``.
     """
@@ -278,7 +290,6 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
         store_matrix = encode_batch(views.map_s1, g_enc, loss_cfg)
 
     codes = map_code_matrix(g) if use_bsd else None
-    zero_costs = np.zeros(len(g))
 
     routes = simulate_routes(g, cfg.route_count, cfg.max_length, cfg.exclusions, cfg.seed)
     lap("costs")
@@ -287,14 +298,15 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
     hits1 = {m: set() for m in lengths}
     hits5 = {m: set() for m in lengths}
 
-    for idx, truth in enumerate(routes):
+    def query(idx):
+        """Turn bits and per-step query (descriptors, BSD codes or None) of route idx."""
+        truth = routes[idx]
         rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 23, idx]))
         qbits = np.array(turn_pattern(truth, g, loc_cfg.turn_threshold), dtype=np.uint8)
         if cfg.noise.turn_flip_prob > 0:
             flips = rng.random(len(qbits)) < cfg.noise.turn_flip_prob
             flips[0] = False  # bit 0 is fixed by convention
             qbits = np.where(flips, 1 - qbits, qbits)
-
         if use_embeddings:
             lat = views.image[views.rows_of(np.asarray(truth))]
             if cfg.noise.sigma > 0:
@@ -302,35 +314,58 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
                 if cfg.noise.outlier_prob > 0 and rng.random() < cfg.noise.outlier_prob:
                     scale *= cfg.noise.outlier_scale
                 lat = lat + scale * rng.standard_normal(lat.shape)
-            cost_seq = cdist(encode_batch(lat, f_enc, loss_cfg), store_matrix)
+            return qbits, encode_batch(lat, f_enc, loss_cfg)
+        if use_bsd:
+            return qbits, simulate_query_codes(truth, g, cfg.noise.bsd, rng)
+        return qbits, None
+
+    def search(chunk):
+        """Search the routes of ``chunk`` in lockstep; yield the state of each scored length."""
+        nonlocal per_route
+        qbits, obs = zip(*map(query, chunk))
+        qbits = np.array(qbits)
+        if use_embeddings:
+            descs = np.array(obs)
+            costs_at = lambda i: cdist(descs[:, i], store_matrix)
         elif use_bsd:
-            qcodes = simulate_query_codes(truth, g, cfg.noise.bsd, rng)
-            cost_seq = [hamming_cost_vector(codes, qc) for qc in qcodes]
+            costs_at = lambda i: np.array([hamming_cost_vector(codes, qc[i]) for qc in obs])
         else:
-            cost_seq = [zero_costs] * cfg.max_length
-
-        def record(state, m):
-            top5 = state.top(5)
-            if not top5:
-                return
-            prefix = truth[:m]
-            if check_success(top5[0][0], prefix, cfg.success_window):
-                hits1[m].add(idx)
-            if any(check_success(r, prefix, cfg.success_window) for r, _ in top5):
-                hits5[m].add(idx)
-
-        lap("costs")
-        state = start_candidates(g, cost_seq[0], cfg.exclusions, loc_cfg)
-        lap("search")
-        if 1 >= cfg.success_window:
-            record(state, 1)
-            lap("scoring")
-        for m in range(2, cfg.max_length + 1):
-            state = advance_candidates(state, cost_seq[m - 1], int(qbits[m - 2]), loc_cfg)
+            zeros = np.zeros((len(chunk), len(g)))
+            costs_at = lambda i: zeros
+        for m in range(1, cfg.max_length + 1):
+            costs = costs_at(m - 1)
+            lap("costs")
+            state = (start_candidates(g, costs, cfg.exclusions, loc_cfg) if m == 1 else
+                     advance_candidates(state, costs, qbits[:, m - 2], loc_cfg))
+            per_route = max(per_route, state.size // len(chunk))
             lap("search")
             if m >= cfg.success_window:
-                record(state, m)
-                lap("scoring")
+                yield state
+
+    def record(state, q, idx):
+        top5 = state.top(5, q)
+        m = state.length_m
+        prefix = routes[idx][:m]
+        if top5 and check_success(top5[0][0], prefix, cfg.success_window):
+            hits1[m].add(idx)
+        if any(check_success(r, prefix, cfg.success_window) for r, _ in top5):
+            hits5[m].add(idx)
+        lap("scoring")
+
+    # The largest frontier per route seen so far sizes the next chunk.
+    chunk, per_route = range(1), 0
+    while chunk.start < len(routes):
+        states = search(chunk)
+        if len(chunk) > 1:
+            # Scored route by route, so every length's state is held until
+            # the last route; a one-route chunk scores each as it comes.
+            states = list(states)
+        for q, idx in enumerate(chunk):
+            for state in states:
+                record(state, q, idx)
+        del states
+        size = max(1, _LOCKSTEP_CANDIDATES // per_route) if per_route else 1
+        chunk = range(chunk.stop, min(len(routes), chunk.stop + size))
 
     n = len(routes)
     report = AccuracyReport(

@@ -24,7 +24,12 @@ from .embedding import (
     train_encoders,
 )
 from .localizer import LocalizerConfig, advance_candidates, start_candidates, write_ranked_csv
-from .retrieval import distance_histograms, precision_recall_curve, topk_percent_recall
+from .retrieval import (
+    distance_blocks,
+    distance_histograms,
+    precision_recall_curve,
+    topk_percent_recall,
+)
 from .store import DescriptorStore, StoreFormatError
 from .synth import SyntheticWorldConfig, generate_synthetic_world
 from .world import GraphFormatError, GraphInvariantError, load_graph, save_graph
@@ -257,12 +262,12 @@ def _cmd_eval_pr(args):
     rng = np.random.default_rng(args.seed)
     matched = []
     unmatched = []
-    for i, qid in enumerate(queries.ids):
-        d = refs.distances_to(queries.vectors[i])
-        matched.append(d[refs.row_of(int(qid))])
-        others = np.nonzero(refs.ids != qid)[0]
-        take = min(args.unmatched_per_query, len(others))
-        unmatched.extend(d[rng.choice(others, size=take, replace=False)])
+    for lo, block in distance_blocks(queries.vectors, refs):
+        for qid, d in zip(queries.ids[lo:lo + len(block)], block):
+            matched.append(d[refs.row_of(int(qid))])
+            others = np.nonzero(refs.ids != qid)[0]
+            take = min(args.unmatched_per_query, len(others))
+            unmatched.extend(d[rng.choice(others, size=take, replace=False)])
     matched = np.array(matched)
     unmatched = np.array(unmatched)
     hi = float(max(matched.max(), unmatched.max()))

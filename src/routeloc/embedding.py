@@ -145,7 +145,7 @@ class AugmentationConfig:
 
 @dataclass
 class Encoder:
-    """Linear encoder: latent -> weights @ latent + bias, then normalize_scale."""
+    """Linear encoder: latent -> weights @ latent + bias, scaled onto the sphere by encode_batch."""
 
     weights: np.ndarray  # (dim, latent_dim)
     bias: np.ndarray     # (dim,)
@@ -163,18 +163,6 @@ class Encoder:
     @property
     def latent_dim(self) -> int:
         return self.weights.shape[1]
-
-
-def encode(latent, enc: Encoder, cfg: LossConfig) -> np.ndarray:
-    """Descriptor for one latent vector: normalized, scaled encoder output."""
-    latent = np.asarray(latent, dtype=np.float64)
-    if latent.shape != (enc.latent_dim,):
-        raise ValueError(
-            f"latent shape {latent.shape} does not match encoder input ({enc.latent_dim},)"
-        )
-    if not np.isfinite(latent).all():
-        raise ValueError("latent must be finite")
-    return normalize_scale(enc.weights @ latent + enc.bias, cfg.scale)
 
 
 def encode_batch(latents, enc: Encoder, cfg: LossConfig) -> np.ndarray:

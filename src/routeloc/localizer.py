@@ -17,16 +17,29 @@ the current frontier, adds their costs, drops children whose turn bit
 disagrees with the query's, and culls the worst candidates.  Only frontier
 nodes that no earlier query reached are expanded.
 
+One candidate set can search Q queries in lockstep.  Its frontier holds
+every query's candidates as one array, in (query, lexicographic route)
+order: query q owns the contiguous segment ``bounds[q]:bounds[q+1]``.  A
+step takes a (Q, N) cost table and one turn bit per query, and culls each
+segment by itself, so every query ranks exactly as if it were searched
+alone; a 1-D cost vector is the Q = 1 case.  ``bench.run_experiment``
+searches a sweep's routes in chunks this way, which pays each step's fixed
+numpy costs once per chunk instead of once per route.
+
 Ranking is deterministic: ties in distance break lexicographically on the
-location-id sequence.  The frontier is always kept in lexicographic route
+location-id sequence.  Each segment is always kept in lexicographic route
 order, so a tie breaks by frontier position.  An empty result (for example
 after turn filtering) is a valid "no candidates" outcome, not an error.
+Growth is bounded: a step that would build more than ``_MAX_FRONTIER``
+candidates for one query, or a tree past ``_MAX_TREE_NODES`` nodes, raises
+``CandidateBudgetError`` instead of exhausting memory.
 """
 from __future__ import annotations
 
 import csv
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
@@ -46,10 +59,14 @@ RouteDescriptor = np.ndarray  # (m, dim) query descriptors, one per position
 
 # Most frontier nodes one call to RouteTree.expand takes.
 _EXPAND_CHUNK = 4096
-# A frontier whose routes hold at most this many locations in all (n * m)
-# carries them from step to step; a larger one rebuilds routes from its
-# steps when an expansion or a ranking needs them.
-_CARRY_LIMIT = 1 << 16
+# Most candidates one step may build for one query, before culling.
+_MAX_FRONTIER = 1 << 21
+# Most nodes a route tree may hold.
+_MAX_TREE_NODES = 1 << 24
+
+
+class CandidateBudgetError(ValueError):
+    """Raised when a search would grow past its candidate budget."""
 
 
 @dataclass(frozen=True)
@@ -118,6 +135,10 @@ class RouteTree:
         ok = (nbr >= 0) & ~(walks[:, None, :] == nbr[:, :, None]).any(axis=2)
         counts = ok.sum(axis=1)
         start, end = self.size, self.size + int(counts.sum())
+        if end > _MAX_TREE_NODES:
+            raise CandidateBudgetError(
+                f"the route tree would grow to {end} nodes, past the budget of "
+                f"{_MAX_TREE_NODES}; cull harder or search shorter routes")
         self._reserve(end)
         self.first[nodes] = start + np.cumsum(counts) - counts
         self.count[nodes] = counts
@@ -135,7 +156,7 @@ class RouteTree:
             self.bit[start:end] = turns[ok]
 
     def _reserve(self, n: int) -> None:
-        """Make room for n nodes, doubling capacity.
+        """Make room for n nodes, doubling capacity up to the node budget.
 
         Fields are copied one at a time and each old copy is released before
         the next field grows, so a growth step never holds two copies of
@@ -143,7 +164,7 @@ class RouteTree:
         """
         if n <= len(self.first):
             return
-        cap = max(n, 2 * len(self.first))
+        cap = min(max(n, 2 * len(self.first)), _MAX_TREE_NODES)
         for name in ("row", "first", "count", "bit"):
             old = getattr(self, name)
             new = np.empty(cap, dtype=old.dtype)
@@ -167,24 +188,25 @@ def route_tree(g: MapGraph, exclusions: Iterable[str] = (),
 
 
 class CandidateSet:
-    """Candidate routes of one length: a frontier of route-tree nodes and distances.
+    """Candidate routes of one length for Q queries: route-tree nodes and distances.
 
     ``_steps[t]`` holds the frontier after observation t+1 as (nodes, src):
     tree node ids, and for each node the position of its parent in the
-    frontier before it (None at the first step).  Every frontier lists its
-    routes in lexicographic order, so among equal distances the earlier
-    position ranks first.  A small frontier also carries its routes as an
-    (n, m) row matrix, ``_carried``; a large one rebuilds routes from the
-    steps only for the nodes an expansion or a ranking asks for.
+    frontier before it (None at the first step).  Query q's candidates sit
+    at positions ``_bounds[q]:_bounds[q+1]`` of every frontier, listed in
+    lexicographic route order, so among equal distances the earlier
+    position ranks first.  Routes are rebuilt from the steps only for the
+    nodes an expansion or a ranking asks for.
     """
 
     def __init__(self, graph: MapGraph, tree: RouteTree, steps: tuple, dists: np.ndarray,
-                 carried: np.ndarray | None):
+                 bounds: np.ndarray):
         self.graph = graph
         self.tree = tree
         self._steps = steps
         self._dists = dists
-        self._carried = carried
+        self._bounds = bounds
+        self._tops = {}
 
     @property
     def exclusions(self) -> frozenset:
@@ -195,24 +217,62 @@ class CandidateSet:
         return len(self._steps)
 
     @property
+    def queries(self) -> int:
+        return len(self._bounds) - 1
+
+    @property
     def size(self) -> int:
+        """Candidates of all queries together."""
         return len(self._dists)
 
-    def ranked(self, top_k: int | None = None) -> list:
-        """Full (route, distance) ranking of the candidates, cut to ``top_k`` if set."""
-        return self.top(self.size if top_k is None else top_k)
+    @property
+    def sizes(self) -> np.ndarray:
+        """Candidates of each query."""
+        return self._bounds[1:] - self._bounds[:-1]
 
-    def top(self, k: int) -> list:
-        """First k of the ranking, via partial selection."""
-        sel = _smallest(self._dists, k)
-        sel = sel[np.argsort(self._dists[sel], kind="stable")]
-        ids = self.graph.id_array[self._walks(sel)]
-        return list(zip(map(tuple, ids.tolist()), self._dists[sel].tolist()))
+    def ranked(self, top_k: int | None = None, q: int = 0) -> list:
+        """Query q's full (route, distance) ranking, cut to ``top_k`` if set."""
+        if top_k is not None:
+            return self.top(top_k, q)
+        lo, hi = self._segment(q)
+        return self._listing(lo + np.argsort(self._dists[lo:hi], kind="stable"))
+
+    def top(self, k: int, q: int = 0) -> list:
+        """First k of query q's ranking.
+
+        The first call for a given k selects and rebuilds the top k of every
+        query in one pass, so a chunk of routes pays that pass once a step.
+        """
+        self._segment(q)
+        tops = self._tops.get(k)
+        if tops is None:
+            tops = self._tops[k] = self._select(k)
+        return list(tops[q])
+
+    def _segment(self, q: int) -> tuple:
+        """(start, end) positions of query q's candidates."""
+        if not 0 <= q < len(self._bounds) - 1:
+            raise IndexError(f"query {q} out of range for {self.queries} queries")
+        return self._bounds[q], self._bounds[q + 1]
+
+    def _select(self, k: int) -> list:
+        """Every query's top-k list, via partial selection within each segment."""
+        take = [min(max(k, 0), n) for n in self.sizes.tolist()]
+        pos = _smallest(self._dists, self._bounds, take)
+        if pos is None:
+            pos = np.arange(self.size)
+        pos = pos[np.lexsort((self._dists[pos], np.repeat(np.arange(self.queries), take)))]
+        pairs = self._listing(pos)
+        ends = list(accumulate(take))
+        return [pairs[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+    def _listing(self, pos: np.ndarray) -> list:
+        """(route, distance) pairs of the candidates at frontier positions ``pos``."""
+        ids = self.graph.id_array[self._walks(pos)]
+        return list(zip(map(tuple, ids.tolist()), self._dists[pos].tolist()))
 
     def _walks(self, idx: np.ndarray) -> np.ndarray:
         """(len(idx), m) graph rows of the routes at frontier positions ``idx``."""
-        if self._carried is not None:
-            return self._carried[idx]
         path = np.empty((self.length_m, len(idx)), dtype=np.int32)
         for t in range(self.length_m - 1, 0, -1):
             nodes, src = self._steps[t]
@@ -224,15 +284,21 @@ class CandidateSet:
 
 def start_candidates(g: MapGraph, costs, exclusions: Iterable[str] = (),
                      cfg: LocalizerConfig = LocalizerConfig()) -> CandidateSet:
-    """Length-1 candidate set: every non-excluded location, seeded with its cost."""
+    """Length-1 candidates: every non-excluded location, seeded with its cost.
+
+    ``costs`` is one cost vector (N,) or a (Q, N) table with one row per
+    query; each query starts from every root and is culled by itself.
+    """
     costs = _check_costs(g, costs)
     tree = route_tree(g, exclusions, cfg.turn_threshold)
-    nodes = np.arange(tree.roots, dtype=np.int32)
-    dists = costs[tree.row[nodes]]
-    keep = _survivors(dists, cfg)
-    nodes, dists = nodes[keep], dists[keep]
-    carried = tree.row[nodes, None] if len(nodes) <= _CARRY_LIMIT else None
-    return CandidateSet(g, tree, ((nodes, None),), dists, carried)
+    roots = np.arange(tree.roots, dtype=np.int32)
+    nodes = np.tile(roots, len(costs))
+    dists = costs[:, tree.row[roots]].ravel()
+    bounds = np.arange(len(costs) + 1) * tree.roots
+    keep = _survivors(dists, bounds, cfg)
+    if keep is not None:
+        nodes, dists, bounds = nodes[keep], dists[keep], np.searchsorted(keep, bounds)
+    return CandidateSet(g, tree, ((nodes, None),), dists, bounds)
 
 
 def advance_candidates(state: CandidateSet, costs, next_turn_bit=None,
@@ -242,11 +308,13 @@ def advance_candidates(state: CandidateSet, costs, next_turn_bit=None,
     Legal means: adjacent to the current endpoint, not already on the route,
     and free of excluded tags.  With ``cfg.use_turns`` and a query turn bit,
     extensions whose geometric turn bit disagrees are dropped.  Then the
-    worst ceil(cull_fraction * n) candidates by cumulative distance are
-    culled, never dropping below ``cull_floor`` survivors.  ``cfg`` must
-    keep the turn threshold the candidate set was started with.
+    worst ceil(cull_fraction * n) of each query's n candidates by
+    cumulative distance are culled, never dropping below ``cull_floor``
+    survivors.  ``costs`` is a cost vector for a one-query set or a (Q, N)
+    table, and ``next_turn_bit`` one bit or one bit per query.  ``cfg``
+    must keep the turn threshold the candidate set was started with.
     """
-    costs = _check_costs(state.graph, costs)
+    costs = _check_costs(state.graph, costs, state.queries)
     tree = state.tree
     if cfg.turn_threshold != tree.threshold:
         raise ValueError(f"turn_threshold {cfg.turn_threshold} differs from the "
@@ -255,25 +323,44 @@ def advance_candidates(state: CandidateSet, costs, next_turn_bit=None,
     first = tree.first[nodes]
     fresh = np.nonzero(first < 0)[0]
     if len(fresh):
+        if state.queries > 1:
+            # A route can sit in several queries' segments; expand it once.
+            fresh = fresh[np.unique(nodes[fresh], return_index=True)[1]]
         # In chunks, so that a cold step's temporaries stay small.
         for i in range(0, len(fresh), _EXPAND_CHUNK):
             part = fresh[i:i + _EXPAND_CHUNK]
             tree.expand(nodes[part], state._walks(part))
         first = tree.first[nodes]
     counts = tree.count[nodes]
+    # starts[i]: where node i's children begin among all children.
+    starts = np.empty(len(nodes) + 1, dtype=np.int32)
+    starts[0] = 0
+    np.cumsum(counts, dtype=np.int32, out=starts[1:])
+    bounds = starts[state._bounds]
+    if starts[-1] > _MAX_FRONTIER:  # all queries together bound each one
+        widest = int(np.diff(bounds).max())
+        if widest > _MAX_FRONTIER:
+            raise CandidateBudgetError(
+                f"a step would build {widest} candidates for one query, past the budget "
+                f"of {_MAX_FRONTIER}; cull harder or search shorter routes")
     src = np.repeat(np.arange(len(nodes), dtype=np.int32), counts)
-    child = np.arange(len(src), dtype=np.int32) + np.repeat(
-        first - np.cumsum(counts, dtype=np.int32) + counts, counts)
+    child = np.arange(len(src), dtype=np.int32) + np.repeat(first - starts[:-1], counts)
     if cfg.use_turns and next_turn_bit is not None:
-        keep = tree.bit[child] == bool(next_turn_bit)
+        bits = np.asarray(next_turn_bit).astype(bool)
+        if bits.shape not in ((), (state.queries,)):
+            raise ValueError(f"need one turn bit or {state.queries}, got shape {bits.shape}")
+        if bits.ndim == 0:
+            bits = np.full(state.queries, bits)
+        keep = tree.bit[child] == _per_candidate(bits, bounds)
         child, src = child[keep], src[keep]
-    dists = state._dists[src] + costs[tree.row[child]]
-    keep = _survivors(dists, cfg)
-    child, src, dists = child[keep], src[keep], dists[keep]
-    carried = None
-    if state._carried is not None and len(child) * (state.length_m + 1) <= _CARRY_LIMIT:
-        carried = np.concatenate([state._carried[src], tree.row[child, None]], axis=1)
-    return CandidateSet(state.graph, tree, state._steps + ((child, src),), dists, carried)
+        bounds = _kept_bounds(keep, bounds, len(child))
+    query = _per_candidate(np.arange(state.queries), bounds)
+    dists = state._dists[src] + costs[query, tree.row[child]]
+    keep = _survivors(dists, bounds, cfg)
+    if keep is not None:
+        child, src, dists = child[keep], src[keep], dists[keep]
+        bounds = np.searchsorted(keep, bounds)
+    return CandidateSet(state.graph, tree, state._steps + ((child, src),), dists, bounds)
 
 
 def localize_step(state: CandidateSet, next_query, next_turn_bit, g: MapGraph,
@@ -354,32 +441,67 @@ def write_ranked_csv(path, ranked) -> None:
 # ----------------------------------------------------------------------
 
 
-def _smallest(dists: np.ndarray, k: int) -> np.ndarray:
-    """Ascending positions of the k smallest distances, ties going to earlier positions."""
-    n = len(dists)
-    if k >= n:
-        return np.arange(n)
-    if k < 1:
-        return np.arange(0)
-    boundary = np.partition(dists, k - 1)[k - 1]
-    keep = dists < boundary
-    keep[np.nonzero(dists == boundary)[0][:k - np.count_nonzero(keep)]] = True
-    return np.nonzero(keep)[0]
+def _per_candidate(values: np.ndarray, bounds: np.ndarray):
+    """values[q] for every candidate of query q (a scalar for one query)."""
+    return values[0] if len(bounds) == 2 else np.repeat(values, bounds[1:] - bounds[:-1])
 
 
-def _check_costs(g: MapGraph, costs) -> np.ndarray:
+def _kept_bounds(keep: np.ndarray, bounds: np.ndarray, kept: int) -> np.ndarray:
+    """Segment bounds once only the ``kept`` candidates where ``keep`` holds remain."""
+    starts = bounds.tolist()
+    counts = [np.count_nonzero(keep[lo:hi]) for lo, hi in zip(starts, starts[1:-1])]
+    return np.array([0, *accumulate(counts), kept])
+
+
+def _smallest(dists: np.ndarray, bounds: np.ndarray, keep: list):
+    """Ascending positions of the keep[q] smallest distances of each segment q.
+
+    Segment q is ``dists[bounds[q]:bounds[q+1]]`` and keep[q] is at most its
+    size.  Ties go to earlier positions.  Returns None when that keeps
+    every position.
+    """
+    starts = bounds.tolist()
+    cut = [q for q, k in enumerate(keep) if k < starts[q + 1] - starts[q]]
+    if not cut:
+        return None
+    # The keep-th smallest distance of each cut segment.  A segment kept
+    # whole gets inf: its finite distances fall below it, an infinite one ties.
+    boundary = np.full(len(keep), np.inf)
+    for q in cut:
+        k = keep[q]
+        boundary[q] = np.partition(dists[starts[q]:starts[q + 1]], k - 1)[k - 1] if k else -np.inf
+    edge = _per_candidate(boundary, bounds)
+    mask = dists < edge
+    ties = np.nonzero(dists == edge)[0]
+    # Segment q's ties are ties[at[q]:at[q + 1]], in position order.  It
+    # keeps as many of the first ones as its smaller distances leave room for.
+    at = np.searchsorted(ties, starts).tolist()
+    for q in range(len(keep)):
+        if at[q] < at[q + 1]:
+            room = keep[q] - np.count_nonzero(mask[starts[q]:starts[q + 1]])
+            mask[ties[at[q]:at[q] + room]] = True
+    return np.nonzero(mask)[0]
+
+
+def _check_costs(g: MapGraph, costs, queries: int | None = None) -> np.ndarray:
+    """The costs as a (Q, N) table: one row per query, one entry per location."""
     costs = np.asarray(costs, dtype=np.float64)
-    if costs.shape != (len(g),):
-        raise ValueError(f"cost vector must have one entry per location ({len(g)}), got {costs.shape}")
-    if not np.isfinite(costs).all():
+    table = costs[None] if costs.ndim == 1 else costs
+    if (table.ndim != 2 or table.shape[1] != len(g) or len(table) < 1
+            or queries not in (None, len(table))):
+        rows = "one row per query" if queries is None else f"{queries} row(s)"
+        raise ValueError(f"cost vector must have one entry per location ({len(g)}), "
+                         f"and a cost table {rows}; got shape {costs.shape}")
+    if not np.isfinite(table).all():
         raise ValueError("cost vector must be finite")
-    return costs
+    return table
 
 
-def _survivors(dists: np.ndarray, cfg: LocalizerConfig):
-    """Positions that survive the cull, ascending; a full slice when none is culled."""
-    n = len(dists)
-    if cfg.cull_fraction <= 0.0 or n <= cfg.cull_floor:
-        return slice(None)
-    keep_n = max(cfg.cull_floor, n - math.ceil(cfg.cull_fraction * n))
-    return slice(None) if keep_n >= n else _smallest(dists, keep_n)
+def _survivors(dists: np.ndarray, bounds: np.ndarray, cfg: LocalizerConfig):
+    """Positions that survive each query's cull, ascending; None when none is culled."""
+    if cfg.cull_fraction <= 0.0:
+        return None
+    sizes = (bounds[1:] - bounds[:-1]).tolist()
+    return _smallest(dists, bounds, [
+        n if n <= cfg.cull_floor else max(cfg.cull_floor, n - math.ceil(cfg.cull_fraction * n))
+        for n in sizes])

@@ -14,6 +14,9 @@ import numpy as np
 
 from .store import DescriptorStore
 
+# Query rows per block of query-to-reference distances.
+ROW_BLOCK = 256
+
 
 @dataclass
 class RecallCurve:
@@ -70,6 +73,16 @@ class DistHistogram:
                 ])
 
 
+def distance_blocks(query_vectors, refs: DescriptorStore):
+    """(first row, distances) for each block of ``ROW_BLOCK`` query rows, in order.
+
+    Each block is a (rows, |refs|) table from ``refs.distance_matrix``, so
+    every entry equals the one a single-query call gives.
+    """
+    for lo in range(0, len(query_vectors), ROW_BLOCK):
+        yield lo, refs.distance_matrix(query_vectors[lo:lo + ROW_BLOCK])
+
+
 def truth_ranks(query_vectors, truth_ids, refs: DescriptorStore) -> np.ndarray:
     """1-based rank of each query's true reference under (distance, ref id) order.
 
@@ -82,12 +95,13 @@ def truth_ranks(query_vectors, truth_ids, refs: DescriptorStore) -> np.ndarray:
         raise ValueError("need query vectors (Q, dim) with one truth id per query")
     if len(q) == 0:
         raise ValueError("no queries given")
+    rows = refs.rows_of(truth)
     ranks = np.empty(len(q), dtype=np.int64)
-    for i in range(len(q)):
-        d = refs.distances_to(q[i])
-        dt = d[refs.row_of(int(truth[i]))]
-        ahead = np.sum(d < dt) + np.sum((d == dt) & (refs.ids < truth[i]))
-        ranks[i] = int(ahead) + 1
+    for lo, d in distance_blocks(q, refs):
+        hi = lo + len(d)
+        dt = d[np.arange(len(d)), rows[lo:hi]][:, None]
+        ties = (d == dt) & (refs.ids[None, :] < truth[lo:hi, None])
+        ranks[lo:hi] = (d < dt).sum(axis=1) + ties.sum(axis=1) + 1
     return ranks
 
 

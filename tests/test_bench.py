@@ -1,11 +1,15 @@
 """Experiment harness: route simulation, sweep invariants, report files."""
+import contextlib
 import dataclasses
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from routeloc import bench
 from routeloc import (
     METHODS,
+    CandidateSet,
     AccuracyReport,
     AugmentationConfig,
     BsdNoise,
@@ -253,3 +257,73 @@ class TestRunExperiment:
         assert all(v >= 0.0 for v in stages.values())
         assert stages["world"] > 0.0 and stages["training"] > 0.0
         assert sum(stages.values()) <= rep.meta["runtime_s"] + 1e-3
+
+
+@contextlib.contextmanager
+def recorded_search(chunk_sizes, tops, latents):
+    """Record each chunk's route count, every top() call and every encode_batch input."""
+    start, top, encode = bench.start_candidates, CandidateSet.top, bench.encode_batch
+
+    def recording_start(g, costs, *args):
+        chunk_sizes.append(len(np.atleast_2d(costs)))
+        return start(g, costs, *args)
+
+    def recording_top(state, k, q=0):
+        out = top(state, k, q)
+        tops.append((state.length_m, out))
+        return out
+
+    def recording_encode(x, *args):
+        latents.append(np.array(x))
+        return encode(x, *args)
+
+    with mock.patch.object(bench, "start_candidates", recording_start), \
+            mock.patch.object(CandidateSet, "top", recording_top), \
+            mock.patch.object(bench, "encode_batch", recording_encode):
+        yield
+
+
+class TestLockstepChunks:
+    CASES = {
+        "ES culled": dict(method="ES", noise=NoiseParams(sigma=0.75, outlier_prob=0.1,
+                                                         outlier_scale=40.0),
+                          localizer=LocalizerConfig(cull_fraction=0.5, cull_floor=10)),
+        "ES+T": dict(method="ES+T", noise=NoiseParams(sigma=0.5, turn_flip_prob=0.2)),
+        "BSD culled": dict(method="BSD", noise=NoiseParams(bsd=BsdNoise(0.1, 0.1)),
+                           localizer=LocalizerConfig(cull_fraction=0.3, cull_floor=20)),
+        "T-only": dict(method="T-only"),
+    }
+
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_reports_equal_one_route_at_a_time(self, case):
+        cfg = small_cfg(**self.CASES[case])
+        chunks, tops = [], []
+        with recorded_search(chunks, tops, []):
+            lockstep = run_experiment(cfg)
+        assert chunks[0] == 1 and max(chunks) > 1 and sum(chunks) == cfg.route_count
+        single_chunks, single_tops = [], []
+        with mock.patch.object(bench, "_LOCKSTEP_CANDIDATES", 1), \
+                recorded_search(single_chunks, single_tops, []):
+            single = run_experiment(cfg)
+        assert single_chunks == [1] * cfg.route_count
+        for name in ("lengths", "top1", "top5", "localized_top1", "localized_top5"):
+            assert getattr(lockstep, name) == getattr(single, name)
+        assert tops == single_tops
+
+    def test_calls_follow_route_order(self):
+        cfg = small_cfg(method="ES", route_count=6,
+                        localizer=LocalizerConfig(cull_fraction=0.5, cull_floor=10))
+        chunks, tops, latents = [], [], []
+        with recorded_search(chunks, tops, latents):
+            run_experiment(cfg)
+        assert len(chunks) > 1 and max(chunks) > 1
+        # Every scored length of route 0, then of route 1, and so on.
+        assert [m for m, _ in tops] == list(range(4, 9)) * 6
+        # encode_batch: the map store once, then each route's views in route order.
+        g = generate_synthetic_world(WORLD)
+        views = WorldViews.from_graph(g)
+        routes = simulate_routes(g, 6, 8, cfg.exclusions, cfg.seed)
+        assert len(latents) == 7
+        np.testing.assert_array_equal(latents[0], views.map_s1)
+        for lat, route in zip(latents[1:], routes):
+            np.testing.assert_array_equal(lat, views.image[views.rows_of(np.asarray(route))])

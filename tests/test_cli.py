@@ -1,17 +1,21 @@
 """Command-line interface: pipeline subcommands and categorized errors."""
 import csv
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from routeloc import localizer, retrieval
 from routeloc import (
     DescriptorStore,
     LocalizerConfig,
     WorldViews,
     enumerate_routes,
+    distance_histograms,
     load_graph,
     localize_full,
+    precision_recall_curve,
     turn_pattern,
     write_ranked_csv,
 )
@@ -160,6 +164,33 @@ class TestEvalCommands:
             hist_rows = list(csv.reader(fh))
         assert len(hist_rows) == 9
 
+    @pytest.mark.parametrize("block", [4, 256])
+    def test_pr_files_equal_the_per_row_loop(self, pipeline, tmp_path, block):
+        with mock.patch.object(retrieval, "ROW_BLOCK", block):
+            assert main([
+                "eval", "pr", "--queries", str(pipeline["image_store"]),
+                "--refs", str(pipeline["map_store"]), "--seed", "3",
+                "--out", str(tmp_path / "cli"),
+            ]) == 0
+        # The same pairs from one single-query distance vector per query.
+        queries = DescriptorStore.load(pipeline["image_store"])
+        refs = DescriptorStore.load(pipeline["map_store"])
+        rng = np.random.default_rng(3)
+        matched, unmatched = [], []
+        for qid, vec in zip(queries.ids, queries.vectors):
+            d = refs.distances_to(vec)
+            matched.append(d[refs.row_of(int(qid))])
+            others = np.nonzero(refs.ids != qid)[0]
+            unmatched.extend(d[rng.choice(others, size=9, replace=False)])
+        matched, unmatched = np.array(matched), np.array(unmatched)
+        hi = float(max(matched.max(), unmatched.max()))
+        (tmp_path / "loop").mkdir()
+        precision_recall_curve(matched, unmatched, np.linspace(0.0, hi, 64)).write_csv(
+            tmp_path / "loop" / "pr.csv")
+        distance_histograms(matched, unmatched, 32).write_csv(tmp_path / "loop" / "histogram.csv")
+        for name in ("pr.csv", "histogram.csv"):
+            assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "loop" / name).read_bytes()
+
     def test_recall_unknown_truth_id(self, pipeline, tmp_path, capsys):
         bogus = tmp_path / "bogus.emb"
         refs = DescriptorStore.load(pipeline["map_store"])
@@ -248,6 +279,16 @@ class TestLocalizeCommand:
                         "--use-turns", "--turns", bits, "--out", str(tmp_path)])
             assert ret == 2
             assert "error[config]: turn pattern must be 2 bits" in capsys.readouterr().err
+
+    def test_candidate_budget_is_config_error(self, pipeline, tmp_path, capsys):
+        _, _, qpath = self.make_query(pipeline, tmp_path, 4)
+        with mock.patch.object(localizer, "_MAX_FRONTIER", 5):
+            ret = main(["localize", "run", "--graph", str(pipeline["graph"]),
+                        "--store", str(pipeline["map_store"]), "--query", str(qpath),
+                        "--out", str(tmp_path)])
+        assert ret == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[config]: a step would build") and "budget of 5" in err
 
     def test_bad_query_ids(self, pipeline, tmp_path, capsys):
         store = DescriptorStore.load(pipeline["map_store"])

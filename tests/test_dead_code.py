@@ -1,19 +1,35 @@
 """Every module-level function and class in the package is used by the program.
 
-A definition counts as used when some name or attribute elsewhere in the
-package, in the benchmark harness or in the acceptance tests refers to it.
-Re-exports in ``__init__.py`` and unit tests do not count, so code that only
-unit tests call shows up here.
+A definition counts as used when some name elsewhere in the package, in
+the benchmark harness or in the acceptance tests refers to it, or an
+attribute of a name bound to a routeloc module (``rbench.run_experiment``,
+``bench_mod.METHODS``).  Attributes of anything else (``text.encode()``)
+do not count.  Re-exports in ``__init__.py`` and unit tests do not count
+either, so code that only unit tests call shows up here.
 """
 import ast
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "routeloc"
+MODULES = {p.stem for p in PACKAGE.glob("*.py")} - {"__init__"}
+
+
+def _module_aliases(tree: ast.AST) -> set:
+    """Names that ``tree`` binds to routeloc modules."""
+    aliases = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            aliases.update(a.asname or a.name.split(".")[0] for a in node.names
+                           if a.name.split(".")[0] == "routeloc")
+        elif isinstance(node, ast.ImportFrom) and node.module in (None, "routeloc"):
+            aliases.update(a.asname or a.name for a in node.names if a.name in MODULES)
+    return aliases
 
 
 def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set:
-    """Names and attributes that ``tree`` refers to, outside the subtree ``skip``."""
+    """Names, and attributes of routeloc modules, that ``tree`` refers to outside ``skip``."""
+    modules = _module_aliases(tree)
     names = set()
     stack = [tree]
     while stack:
@@ -23,7 +39,8 @@ def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set:
         if isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
+            if isinstance(node.value, ast.Name) and node.value.id in modules:
+                names.add(node.attr)
         elif isinstance(node, ast.alias):
             names.add(node.name)
         stack.extend(ast.iter_child_nodes(node))

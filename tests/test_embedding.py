@@ -24,7 +24,6 @@ from routeloc import (
     WorldViews,
     batch_loss,
     build_batch,
-    encode,
     encode_batch,
     generate_synthetic_world,
     normalize_scale,
@@ -212,7 +211,10 @@ class TestEncode:
         lat = rng.normal(0, 1, (7, 4))
         batch = encode_batch(lat, enc, cfg)
         for i in range(7):
-            np.testing.assert_allclose(batch[i], encode(lat[i], enc, cfg), rtol=1e-14)
+            np.testing.assert_allclose(batch[i], encode_batch(lat[i], enc, cfg), rtol=1e-14)
+            raw = enc.weights @ lat[i] + enc.bias
+            np.testing.assert_allclose(batch[i], cfg.scale * raw / np.linalg.norm(raw),
+                                       rtol=1e-14)
 
     def test_descriptor_norms(self):
         rng = np.random.default_rng(2)
@@ -223,30 +225,31 @@ class TestEncode:
     def test_shape_errors(self):
         enc = Encoder(np.eye(4), np.zeros(4))
         with pytest.raises(ValueError, match="does not match"):
-            encode(np.zeros(5), enc, LossConfig(dim=4))
+            encode_batch(np.zeros(5), enc, LossConfig(dim=4))
         with pytest.raises(ValueError, match="does not match"):
             encode_batch(np.zeros((3, 5)), enc, LossConfig(dim=4))
 
     def test_zero_output_rejected(self):
         enc = Encoder(np.zeros((4, 4)), np.zeros(4))
         with pytest.raises(ValueError, match="zero vector"):
-            encode(np.ones(4), enc, LossConfig(dim=4))
+            encode_batch(np.ones(4), enc, LossConfig(dim=4))
         with pytest.raises(ValueError, match="zero vector"):
             encode_batch(np.ones((2, 4)), enc, LossConfig(dim=4))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_encode_rejects_non_finite(self, bad):
         cfg = LossConfig(dim=4)
-        with pytest.raises(ValueError, match="latent must be finite"):
-            encode(np.array([bad, 1.0, 2.0, 3.0]), Encoder(np.eye(4), np.zeros(4)), cfg)
+        with pytest.raises(ValueError, match="latents must be finite"):
+            encode_batch(np.array([bad, 1.0, 2.0, 3.0]), Encoder(np.eye(4), np.zeros(4)), cfg)
         weights = np.eye(4)
         weights[2, 1] = bad
         with pytest.raises(ValueError, match="non-finite"):
-            encode(np.ones(4), Encoder(weights, np.zeros(4)), cfg)
+            encode_batch(np.ones(4), Encoder(weights, np.zeros(4)), cfg)
 
     def test_encode_rejects_overflowing_norm(self):
         with pytest.raises(ValueError, match="norm overflows"):
-            encode(np.array([1e200, 1e200]), Encoder(np.eye(2), np.zeros(2)), LossConfig(dim=2))
+            encode_batch(np.array([1e200, 1e200]), Encoder(np.eye(2), np.zeros(2)),
+                         LossConfig(dim=2))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_encode_batch_rejects_non_finite(self, bad):

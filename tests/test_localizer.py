@@ -1,5 +1,4 @@
 """Sequential route localization: ranking oracle, stepping, culling, turns."""
-import contextlib
 import csv
 import dataclasses
 import gc
@@ -37,6 +36,20 @@ def make_store(g, seed=0):
     return DescriptorStore(g.id_array, rng.normal(0.0, 1.0, (len(g), DIM)))
 
 
+def integer_descriptors(draw, count):
+    """(count, 1) small integer descriptors, so that distances tie often."""
+    return np.array(draw(st.lists(st.integers(0, 2), min_size=count, max_size=count)),
+                    dtype=np.float64)[:, None]
+
+
+def query_turns(draw, g, m):
+    """m-1 turn bits: a real route's half the time, so that some candidates survive."""
+    routes = sorted(enumerate_routes(g, m))
+    if routes and draw(st.booleans()):
+        return turn_pattern(draw(st.sampled_from(routes)), g)
+    return tuple(draw(st.lists(st.integers(0, 1), min_size=m - 1, max_size=m - 1)))
+
+
 @st.composite
 def tie_heavy_searches(draw):
     """A small random graph with 1-D integer descriptors, a query and turn bits.
@@ -58,17 +71,19 @@ def tie_heavy_searches(draw):
     g = MapGraph([Location(i, (10.0 * cells[i][0], 10.0 * cells[i][1]), 0.0,
                            tuple(sorted(nbrs[i])), frozenset({"tunnel"} if tunnels[i] else ()))
                   for i in range(n)])
-    ints = st.integers(0, 2)
-    store = DescriptorStore(g.id_array, np.array(draw(st.lists(ints, min_size=n, max_size=n)),
-                                                 dtype=np.float64)[:, None])
+    store = DescriptorStore(g.id_array, integer_descriptors(draw, n))
     m = draw(st.integers(2, 4))
-    query = np.array(draw(st.lists(ints, min_size=m, max_size=m)), dtype=np.float64)[:, None]
-    routes = sorted(enumerate_routes(g, m))
-    if routes and draw(st.booleans()):
-        turns = turn_pattern(draw(st.sampled_from(routes)), g)
-    else:
-        turns = tuple(draw(st.lists(st.integers(0, 1), min_size=m - 1, max_size=m - 1)))
-    return g, store, query, turns
+    return g, store, integer_descriptors(draw, m), query_turns(draw, g, m)
+
+
+@st.composite
+def lockstep_searches(draw):
+    """A tie-heavy search plus one to three more queries, each with its own turn bits."""
+    g, store, q, turns = draw(tie_heavy_searches())
+    extra = draw(st.integers(1, 3))
+    queries = [q] + [integer_descriptors(draw, len(q)) for _ in range(extra)]
+    patterns = [turns] + [query_turns(draw, g, len(q)) for _ in range(extra)]
+    return g, store, queries, patterns
 
 
 search_configs = st.builds(
@@ -80,28 +95,25 @@ search_configs = st.builds(
 )
 
 
-# Limits on the route locations a frontier carries: none carried (routes
-# are always rebuilt from the steps), carried for a few steps only, default.
-carry_limits = st.sampled_from([0, 12, None])
-
-
-@contextlib.contextmanager
-def carry_limit(limit):
-    if limit is None:
-        yield
-    else:
-        with mock.patch.object(localizer, "_CARRY_LIMIT", limit):
-            yield
-
-
-def run_chain(g, store, q, cfg, turns=None, exclusions=(), carry=None):
+def run_chain(g, store, q, cfg, turns=None, exclusions=()):
     """Stepped search over the query q, with query turn bits when given."""
-    with carry_limit(carry):
-        state = start_candidates(g, store.cost_vector(q[0], g.id_array), exclusions, cfg)
-        for i in range(1, len(q)):
-            bit = None if turns is None else turns[i - 1]
-            state = localize_step(state, q[i], bit, g, store, cfg)
+    state = start_candidates(g, store.cost_vector(q[0], g.id_array), exclusions, cfg)
+    for i in range(1, len(q)):
+        bit = None if turns is None else turns[i - 1]
+        state = localize_step(state, q[i], bit, g, store, cfg)
     return state
+
+
+def lockstep_chain(g, store, queries, cfg, patterns, exclusions=()):
+    """One search over all queries at once; its state at every length."""
+    def table(i):
+        return np.array([store.cost_vector(q[i], g.id_array) for q in queries])
+
+    states = [start_candidates(g, table(0), exclusions, cfg)]
+    for i in range(1, len(queries[0])):
+        bits = [turns[i - 1] for turns in patterns]
+        states.append(advance_candidates(states[-1], table(i), bits, cfg))
+    return states
 
 
 def oracle_ranking(query, routes, store, graph=None, turns=None, threshold=30.0):
@@ -245,12 +257,12 @@ class TestStepping:
                              graph=tee_graph, turns=turns, cfg=cfg)
         assert state.ranked() == want
 
-    @given(tie_heavy_searches(), carry_limits)
+    @given(tie_heavy_searches())
     @settings(max_examples=150, deadline=None)
-    def test_stepped_turn_search_equals_full_search(self, search, carry):
+    def test_stepped_turn_search_equals_full_search(self, search):
         g, store, q, turns = search
         cfg = LocalizerConfig(use_turns=True)
-        state = run_chain(g, store, q, cfg, turns=turns, carry=carry)
+        state = run_chain(g, store, q, cfg, turns=turns)
         want = localize_full(q, enumerate_routes(g, len(q)), store, graph=g,
                              turns=turns, cfg=cfg)
         assert state.ranked() == want
@@ -364,12 +376,12 @@ class TestCulling:
             assert route in want
             assert dist == pytest.approx(want[route], rel=1e-12)
 
-    @given(tie_heavy_searches(), search_configs, st.booleans(), carry_limits)
+    @given(tie_heavy_searches(), search_configs, st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_culled_ranking_is_a_subset_of_full(self, search, cfg, exclude, carry):
+    def test_culled_ranking_is_a_subset_of_full(self, search, cfg, exclude):
         g, store, q, turns = search
         excl = ("tunnel",) if exclude else ()
-        culled = run_chain(g, store, q, cfg, turns, excl, carry).ranked()
+        culled = run_chain(g, store, q, cfg, turns, excl).ranked()
         full = run_chain(g, store, q, dataclasses.replace(cfg, cull_fraction=0.0), turns,
                          excl).ranked()
         kept = {route for route, _ in culled}
@@ -377,22 +389,114 @@ class TestCulling:
         assert culled == [(route, dist) for route, dist in full if route in kept]
 
 
-class TestRouteTree:
-    @given(tie_heavy_searches(), search_configs, st.booleans(), carry_limits,
-           st.lists(st.tuples(search_configs, st.booleans(), st.booleans(), carry_limits),
-                    max_size=4))
+class TestLockstep:
+    @given(lockstep_searches(), search_configs, st.booleans(), st.booleans())
     @settings(max_examples=150, deadline=None)
-    def test_grown_tree_ranks_like_a_fresh_one(self, search, cfg, exclude, carry, earlier):
+    def test_equals_separate_searches(self, search, cfg, exclude, grown):
+        g, store, queries, patterns = search
+        excl = ("tunnel",) if exclude else ()
+        fresh = MapGraph(list(g.locations()))
+        if grown:
+            # An earlier query grows the tree the lockstep search then uses.
+            run_chain(g, store, queries[-1][::-1], cfg, patterns[-1][::-1], excl)
+        together = lockstep_chain(g, store, queries, cfg, patterns, excl)
+        for q, (query, turns) in enumerate(zip(queries, patterns)):
+            alone = start_candidates(fresh, store.cost_vector(query[0], fresh.id_array),
+                                     excl, cfg)
+            for i, state in enumerate(together):
+                if i:
+                    alone = localize_step(alone, query[i], turns[i - 1], fresh, store, cfg)
+                assert state.queries == len(queries)
+                assert state.sizes[q] == alone.size
+                assert state.ranked(q=q) == alone.ranked()
+                for k in (0, 1, 3, alone.size + 2):
+                    assert state.top(k, q) == alone.top(k)
+        assert together[-1].size == sum(together[-1].sizes)
+        if not grown:
+            # Each route reached by several queries is expanded once.
+            assert together[-1].tree.size == alone.tree.size
+
+    def test_one_dimensional_costs_are_one_query(self, tee_graph):
+        costs = np.arange(4.0)
+        one = start_candidates(tee_graph, costs)
+        table = start_candidates(tee_graph, costs[None])
+        assert one.queries == table.queries == 1
+        assert one.ranked() == table.ranked()
+        assert advance_candidates(one, costs, 1).ranked() == \
+            advance_candidates(table, costs[None], [1]).ranked()
+
+    def test_shapes_checked(self, tee_graph):
+        state = start_candidates(tee_graph, np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="2 row"):
+            advance_candidates(state, np.zeros(4))
+        with pytest.raises(ValueError, match="one entry per location"):
+            start_candidates(tee_graph, np.zeros((0, 4)))
+        with pytest.raises(ValueError, match="turn bit"):
+            advance_candidates(state, np.zeros((2, 4)), [0, 1, 1],
+                               LocalizerConfig(use_turns=True))
+        with pytest.raises(IndexError, match="query 2"):
+            state.top(5, 2)
+        with pytest.raises(IndexError, match="query -1"):
+            state.ranked(q=-1)
+
+
+class TestBudget:
+    @pytest.fixture
+    def lattice(self):
+        """A block_len=1 lattice: every location is a junction, so routes multiply."""
+        return generate_synthetic_world(SyntheticWorldConfig(node_count=64, spacing=10.0,
+                                                             seed=35, block_len=1))
+
+    def test_frontier_budget(self, lattice):
+        costs = np.zeros(len(lattice))
+        state = start_candidates(lattice, costs)
+        with mock.patch.object(localizer, "_MAX_FRONTIER", 1000):
+            with pytest.raises(localizer.CandidateBudgetError,
+                               match="past the budget of 1000"):
+                for _ in range(10):
+                    state = advance_candidates(state, costs)
+            assert 1000 / 4 < state.size <= 1000
+        assert issubclass(localizer.CandidateBudgetError, ValueError)
+
+    def test_frontier_budget_is_per_query(self, lattice):
+        costs = np.zeros((3, len(lattice)))
+        state = start_candidates(lattice, costs)
+        with mock.patch.object(localizer, "_MAX_FRONTIER", 1000):
+            while state.sizes.max() * 3 <= 1000:
+                state = advance_candidates(state, costs)
+        assert state.size > 1000
+
+    def test_tree_budget(self, lattice):
+        costs = np.zeros(len(lattice))
+        cfg = LocalizerConfig(cull_fraction=0.5, cull_floor=10)
+        state = start_candidates(lattice, costs, (), cfg)
+        with mock.patch.object(localizer, "_MAX_TREE_NODES", 2000):
+            with pytest.raises(localizer.CandidateBudgetError, match="route tree"):
+                for _ in range(30):
+                    state = advance_candidates(state, costs, None, cfg)
+            assert state.tree.size <= 2000
+        # The tree a failed step leaves behind still searches correctly.
+        grown = run_chain(lattice, make_store(lattice), np.ones((6, DIM)), LocalizerConfig())
+        fresh = MapGraph(list(lattice.locations()))
+        assert grown.ranked() == run_chain(fresh, make_store(fresh), np.ones((6, DIM)),
+                                           LocalizerConfig()).ranked()
+
+
+class TestRouteTree:
+    @given(tie_heavy_searches(), search_configs, st.booleans(),
+           st.lists(st.tuples(search_configs, st.booleans(), st.booleans()), max_size=4))
+    @settings(max_examples=150, deadline=None)
+    def test_grown_tree_ranks_like_a_fresh_one(self, search, cfg, exclude, earlier):
         g, store, q, turns = search
         excl = ("tunnel",) if exclude else ()
         want = run_chain(MapGraph(list(g.locations())), store, q, cfg, turns, excl).ranked()
         # Earlier queries grow g's trees, some the tree the last query uses.
-        for other, same_tree, other_exclude, other_carry in earlier:
+        for other, same_tree, other_exclude in earlier:
             if same_tree:
                 other = dataclasses.replace(other, turn_threshold=cfg.turn_threshold)
             run_chain(g, store, q[::-1], other, turns[::-1],
-                      excl if same_tree else ("tunnel",) if other_exclude else (), other_carry)
-        assert run_chain(g, store, q, cfg, turns, excl, carry).ranked() == want
+                      excl if same_tree else ("tunnel",) if other_exclude else ())
+        assert run_chain(g, store, q, cfg, turns, excl).ranked() == want
 
     @pytest.mark.parametrize("use_turns", [False, True])
     def test_step_threshold_other_than_start_raises(self, tee_graph, use_turns):

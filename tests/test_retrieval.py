@@ -1,9 +1,11 @@
 """Retrieval metrics: rank oracle, recall cutoffs, PR curves, histograms."""
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from routeloc import retrieval
 from routeloc import (
     DescriptorStore,
     distance_histograms,
@@ -22,7 +24,33 @@ def oracle_rank(query, truth_id, refs):
     return [i for _, i in keyed].index(truth_id) + 1
 
 
+def per_row_ranks(queries, truth, refs):
+    """Ranks from one single-query distance vector per query."""
+    ranks = []
+    for q, t in zip(queries, truth):
+        d = refs.distances_to(q)
+        dt = d[refs.row_of(int(t))]
+        ranks.append(int(np.sum(d < dt) + np.sum((d == dt) & (refs.ids < t))) + 1)
+    return ranks
+
+
 class TestTruthRanks:
+    @pytest.mark.parametrize("block", [1, 4, 7, 256])
+    def test_blocks_equal_the_per_row_loop(self, block):
+        # Integer coordinates make many exact distance ties.
+        rng = np.random.default_rng(11)
+        refs = DescriptorStore(rng.permutation(80), rng.integers(0, 3, (80, 3)))
+        queries = rng.integers(0, 3, (30, 3)).astype(np.float64)
+        truth = rng.choice(refs.ids, 30)
+        with mock.patch.object(retrieval, "ROW_BLOCK", block):
+            got = truth_ranks(queries, truth, refs)
+            blocks = list(retrieval.distance_blocks(queries, refs))
+        np.testing.assert_array_equal(got, per_row_ranks(queries, truth, refs))
+        assert [lo for lo, _ in blocks] == list(range(0, 30, block))
+        for lo, d in blocks:
+            for i, row in enumerate(d, lo):
+                np.testing.assert_array_equal(row, refs.distances_to(queries[i]))
+
     def test_matches_exhaustive_sort(self):
         rng = np.random.default_rng(10)
         refs = DescriptorStore(rng.permutation(60), rng.normal(0, 1, (60, 5)))
