@@ -10,7 +10,6 @@ from .baselines import (
     BSD_TAG_ORDER,
     BsdCode,
     BsdNoise,
-    bsd_from_map,
     hamming_cost_vector,
     map_code_matrix,
     simulate_query_codes,

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .world import MapGraph, Route
+from .world import TAG_NAMES, MapGraph, Route
 
 # Bit order of a BSD code.
 BSD_TAG_ORDER = ("junction_ahead", "junction_behind", "gap_left", "gap_right")
@@ -42,30 +42,18 @@ class BsdNoise:
         return np.array([self.p_junction, self.p_junction, self.p_gap, self.p_gap])
 
 
-def bsd_from_map(loc_id: int, g: MapGraph) -> BsdCode:
-    """Ground-truth BSD code of a location, read off its semantic tags."""
-    tags = g.location(loc_id).tags
-    return tuple(1 if t in tags else 0 for t in BSD_TAG_ORDER)
-
-
 def map_code_matrix(g: MapGraph) -> np.ndarray:
     """BSD codes for every location, shape (N, 4) uint8 in graph row order."""
-    from .world import TAG_NAMES
-
     cols = [TAG_NAMES.index(t) for t in BSD_TAG_ORDER]
     g._build_index()
     return g._tags[:, cols].astype(np.uint8)
 
 
-def simulate_query_codes(route: Route, g: MapGraph, noise: BsdNoise, rng) -> list:
+def simulate_query_codes(route: Route, g: MapGraph, noise: BsdNoise, rng) -> list[BsdCode]:
     """Noisy query-side BSD codes along a route (each bit flips independently)."""
-    p = noise.per_bit()
-    out = []
-    for loc_id in route:
-        code = np.array(bsd_from_map(loc_id, g), dtype=np.uint8)
-        flips = rng.random(4) < p
-        out.append(tuple(int(b) for b in np.where(flips, 1 - code, code)))
-    return out
+    codes = map_code_matrix(g)[g.rows_of(route)]
+    flips = rng.random(codes.shape) < noise.per_bit()
+    return list(map(tuple, np.where(flips, 1 - codes, codes).tolist()))
 
 
 def hamming_cost_vector(codes: np.ndarray, query_code) -> np.ndarray:

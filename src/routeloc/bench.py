@@ -16,8 +16,8 @@ carrying the config echo and the per-length sets of localized route indices.
 """
 from __future__ import annotations
 
-import dataclasses
 import json
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -35,7 +35,7 @@ from .embedding import (
 )
 from .localizer import LocalizerConfig, advance_candidates, check_success, start_candidates
 from .synth import SyntheticWorldConfig, generate_synthetic_world
-from .world import MapGraph, load_graph, turn_pattern
+from .world import TAG_NAMES, MapGraph, load_graph, turn_pattern
 
 METHODS = ("ES", "ES+T", "BSD", "BSD+T", "T-only")
 
@@ -58,14 +58,11 @@ class TrainParams:
 
     epochs: int = 10
     lr: float = 0.2
-    n_b: int = 10
-    k: int = 5
-    jitter_sigma: float = 0.05
 
 
 @dataclass
 class NoiseParams:
-    """Query-side noise: latent perturbation, BSD bit flips, turn-bit flips.
+    """Query-side noise: latent perturbation and BSD bit flips.
 
     Latent noise is per-route heteroscedastic: every query location gets
     gaussian noise of scale ``sigma``, and with probability ``outlier_prob``
@@ -76,19 +73,16 @@ class NoiseParams:
 
     sigma: float = 0.0
     bsd: BsdNoise = field(default_factory=BsdNoise)
-    turn_flip_prob: float = 0.0
     outlier_prob: float = 0.0
     outlier_scale: float = 20.0
 
     def __post_init__(self):
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
-        if not 0.0 <= self.turn_flip_prob <= 1.0:
-            raise ValueError(f"turn_flip_prob must be in [0, 1], got {self.turn_flip_prob}")
+        if not 0.0 <= self.sigma < math.inf:
+            raise ValueError(f"sigma must be finite and >= 0, got {self.sigma}")
         if not 0.0 <= self.outlier_prob <= 1.0:
             raise ValueError(f"outlier_prob must be in [0, 1], got {self.outlier_prob}")
-        if self.outlier_scale < 1.0:
-            raise ValueError(f"outlier_scale must be >= 1, got {self.outlier_scale}")
+        if not 1.0 <= self.outlier_scale < math.inf:
+            raise ValueError(f"outlier_scale must be finite and >= 1, got {self.outlier_scale}")
 
 
 @dataclass
@@ -117,6 +111,9 @@ class ExperimentConfig:
             )
         if self.success_window < 1:
             raise ValueError(f"success_window must be >= 1, got {self.success_window}")
+        unknown = set(self.exclusions) - set(TAG_NAMES)
+        if unknown:
+            raise ValueError(f"unknown exclusion tags {sorted(unknown)}")
 
 
 @dataclass
@@ -268,7 +265,6 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
     use_embeddings = cfg.method in ("ES", "ES+T")
     use_bsd = cfg.method in ("BSD", "BSD+T")
     use_turns = cfg.method in ("ES+T", "BSD+T", "T-only")
-    loc_cfg = dataclasses.replace(cfg.localizer, use_turns=use_turns)
     loss_cfg = LossConfig()
 
     store_matrix = None
@@ -278,10 +274,9 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
             views = WorldViews.from_graph(g)
             lap("views")
         if encoders is None:
-            aug = AugmentationConfig(jitter_sigma=cfg.train.jitter_sigma)
             g_enc, f_enc = train_encoders(
-                g, loss_cfg, aug, epochs=cfg.train.epochs, lr=cfg.train.lr,
-                seed=cfg.seed, n_b=cfg.train.n_b, k=cfg.train.k, views=views,
+                g, loss_cfg, AugmentationConfig(), epochs=cfg.train.epochs, lr=cfg.train.lr,
+                seed=cfg.seed, views=views,
             )
             lap("training")
         else:
@@ -299,14 +294,9 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
     hits5 = {m: set() for m in lengths}
 
     def query(idx):
-        """Turn bits and per-step query (descriptors, BSD codes or None) of route idx."""
+        """Per-step query of route idx: descriptors, BSD codes or None."""
         truth = routes[idx]
         rng = np.random.default_rng(np.random.SeedSequence([int(cfg.seed), 23, idx]))
-        qbits = np.array(turn_pattern(truth, g, loc_cfg.turn_threshold), dtype=np.uint8)
-        if cfg.noise.turn_flip_prob > 0:
-            flips = rng.random(len(qbits)) < cfg.noise.turn_flip_prob
-            flips[0] = False  # bit 0 is fixed by convention
-            qbits = np.where(flips, 1 - qbits, qbits)
         if use_embeddings:
             lat = views.image[views.rows_of(np.asarray(truth))]
             if cfg.noise.sigma > 0:
@@ -314,16 +304,17 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
                 if cfg.noise.outlier_prob > 0 and rng.random() < cfg.noise.outlier_prob:
                     scale *= cfg.noise.outlier_scale
                 lat = lat + scale * rng.standard_normal(lat.shape)
-            return qbits, encode_batch(lat, f_enc, loss_cfg)
+            return encode_batch(lat, f_enc, loss_cfg)
         if use_bsd:
-            return qbits, simulate_query_codes(truth, g, cfg.noise.bsd, rng)
-        return qbits, None
+            return simulate_query_codes(truth, g, cfg.noise.bsd, rng)
+        return None
 
     def search(chunk):
         """Search the routes of ``chunk`` in lockstep; yield the state of each scored length."""
         nonlocal per_route
-        qbits, obs = zip(*map(query, chunk))
-        qbits = np.array(qbits)
+        obs = [query(idx) for idx in chunk]
+        # Turn bits are passed, and so filter, only for the turn methods.
+        qbits = np.array([turn_pattern(routes[idx], g) for idx in chunk]) if use_turns else None
         if use_embeddings:
             descs = np.array(obs)
             costs_at = lambda i: cdist(descs[:, i], store_matrix)
@@ -335,8 +326,11 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
         for m in range(1, cfg.max_length + 1):
             costs = costs_at(m - 1)
             lap("costs")
-            state = (start_candidates(g, costs, cfg.exclusions, loc_cfg) if m == 1 else
-                     advance_candidates(state, costs, qbits[:, m - 2], loc_cfg))
+            if m == 1:
+                state = start_candidates(g, costs, cfg.exclusions, cfg.localizer)
+            else:
+                bits = None if qbits is None else qbits[:, m - 2]
+                state = advance_candidates(state, costs, bits, cfg.localizer)
             per_route = max(per_route, state.size // len(chunk))
             lap("search")
             if m >= cfg.success_window:
@@ -383,8 +377,8 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
             "sigma": cfg.noise.sigma,
             "outlier_prob": cfg.noise.outlier_prob,
             "exclusions": sorted(cfg.exclusions),
-            "cull_fraction": loc_cfg.cull_fraction,
-            "cull_floor": loc_cfg.cull_floor,
+            "cull_fraction": cfg.localizer.cull_fraction,
+            "cull_floor": cfg.localizer.cull_floor,
             "world_size": len(g),
             "runtime_s": None,
             "stage_s": stage_s,

@@ -294,12 +294,13 @@ def _cmd_localize_run(args):
         raise ValueError("query store ids must be 0..m-1 (the query order)")
     exclusions = tuple(t for t in args.exclude.split(",") if t)
     turns = [int(b) for b in args.turns.split(",")] if args.turns else None
+    # Turn bits are passed to the search, and so filter it, only with --use-turns.
     bits = [None] * (m - 1)
     if args.use_turns and turns is not None:
         if len(turns) != m - 1 or not set(turns) <= {0, 1}:
             raise ValueError(f"turn pattern must be {m - 1} bits of 0 or 1, got {args.turns}")
         bits = turns
-    cfg = LocalizerConfig(use_turns=args.use_turns, top_k=args.top_k)
+    cfg = LocalizerConfig(top_k=args.top_k)
     costs = store.distance_matrix(qstore.vectors)[:, store.rows_of(g.id_array)]
     state = start_candidates(g, costs[0], exclusions, cfg)
     for cost, bit in zip(costs[1:], bits):

@@ -24,6 +24,8 @@ DEFAULT_SCALE = 32.0
 DEFAULT_DIM = 16
 DEFAULT_BATCH_LOCATIONS = 10
 DEFAULT_AUGMENTATIONS = 5
+# Scale of the gaussian noise that sets each view apart from the graph latents.
+VIEW_SIGMA = 0.1
 
 _EPS = 1e-12
 
@@ -40,6 +42,7 @@ class TrainingDiverged(RuntimeError):
 def normalize_scale(v, scale: float = DEFAULT_SCALE) -> np.ndarray:
     """Project v onto the sphere of radius ``scale``: scale * v / ||v||.
 
+    The one-vector case of the normalization ``encode_batch`` applies.
     Rejects zero or non-finite vectors, vectors whose norm overflows, and
     non-positive scales.
     """
@@ -48,13 +51,7 @@ def normalize_scale(v, scale: float = DEFAULT_SCALE) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     if not np.isfinite(v).all():
         raise ValueError("cannot normalize a non-finite vector")
-    with np.errstate(over="ignore"):
-        norm = float(np.linalg.norm(v))
-    if not np.isfinite(norm):
-        raise ValueError("cannot normalize a vector whose norm overflows")
-    if norm <= _EPS:
-        raise ValueError("cannot normalize a zero vector")
-    return (scale / norm) * v
+    return _normalized(v, scale)[0]
 
 
 def soft_margin_loss(d, alpha: float = DEFAULT_ALPHA):
@@ -130,17 +127,13 @@ class LossConfig:
 
 @dataclass(frozen=True)
 class AugmentationConfig:
-    """Batch augmentation: additive jitter plus the map tile-scale pick rule."""
+    """Batch augmentation: additive jitter on each drawn latent."""
 
     jitter_sigma: float = 0.05
-    scale_pick: str = "random"  # "random" | "s1" | "s2"
-    seed: int = 0
 
     def __post_init__(self):
         if not 0 <= self.jitter_sigma < math.inf:
             raise ValueError(f"jitter_sigma must be finite and >= 0, got {self.jitter_sigma}")
-        if self.scale_pick not in ("random", "s1", "s2"):
-            raise ValueError(f"unknown scale_pick rule {self.scale_pick!r}")
 
 
 @dataclass
@@ -199,25 +192,12 @@ class WorldViews:
     image: np.ndarray    # (N, d) image-side latents
 
     @classmethod
-    def from_graph(cls, g: MapGraph, seed: int = 0, scale_sigma: float = 0.1,
-                   view_sigma: float = 0.1, rotate_image: bool = False) -> "WorldViews":
-        """Derive views from graph latents.
-
-        ``rotate_image=True`` passes the image domain through a fixed random
-        rotation of latent space before adding view noise, which makes the
-        cross-domain alignment a genuine learning problem.
-        """
+    def from_graph(cls, g: MapGraph, seed: int = 0) -> "WorldViews":
+        """Derive views from graph latents: each adds gaussian noise of scale ``VIEW_SIGMA``."""
         base = g.latent_matrix()
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 101]))
-        map_s1 = base + scale_sigma * rng.standard_normal(base.shape)
-        map_s2 = base + scale_sigma * rng.standard_normal(base.shape)
-        img = base
-        if rotate_image:
-            d = base.shape[1]
-            a = rng.standard_normal((d, d))
-            q, r = np.linalg.qr(a)
-            img = base @ (q * np.sign(np.diag(r))).T
-        image = img + view_sigma * rng.standard_normal(base.shape)
+        map_s1, map_s2, image = (base + VIEW_SIGMA * rng.standard_normal(base.shape)
+                                 for _ in range(3))
         return cls(ids=g.id_array.copy(), map_s1=map_s1, map_s2=map_s2, image=image)
 
     @property
@@ -256,16 +236,15 @@ class TrainBatch:
 
 
 def build_batch(views: WorldViews, rows, aug: AugmentationConfig,
-                k: int = DEFAULT_AUGMENTATIONS, rng=None) -> TrainBatch:
-    """Assemble a batch from view rows: tile-scale pick plus additive jitter."""
-    if rng is None:
-        rng = np.random.default_rng(aug.seed)
+                k: int = DEFAULT_AUGMENTATIONS, *, rng) -> TrainBatch:
+    """Assemble a batch from view rows: a random tile scale plus additive jitter.
+
+    Each map-side latent is drawn from the S1 or the S2 tile with equal
+    odds (``rng``'s first draw, 1 meaning S2), then every latent is jittered.
+    """
     rows = np.asarray(rows, dtype=np.int64)
     n_b, d = len(rows), views.latent_dim
-    if aug.scale_pick == "random":
-        pick = rng.integers(0, 2, size=(n_b, k))
-    else:
-        pick = np.full((n_b, k), 0 if aug.scale_pick == "s1" else 1)
+    pick = rng.integers(0, 2, size=(n_b, k))
     s1 = views.map_s1[rows][:, None, :]
     s2 = views.map_s2[rows][:, None, :]
     base_map = np.where(pick[..., None] == 0, s1, s2)
@@ -363,9 +342,9 @@ def _normalized(raw, scale):
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     if np.isinf(norms).any():
-        raise ValueError("encoder produced a vector whose norm overflows; cannot normalize")
+        raise ValueError("cannot normalize a vector whose norm overflows")
     if np.any(norms <= _EPS):
-        raise ValueError("encoder produced a zero vector; cannot normalize")
+        raise ValueError("cannot normalize a zero vector")
     return scale * raw / norms, norms
 
 
@@ -421,7 +400,7 @@ def train_encoders(g: MapGraph, cfg: LossConfig, aug: AugmentationConfig,
 
     history = []
     for _ in range(epochs):
-        erng = np.random.default_rng(np.random.SeedSequence([int(seed), int(aug.seed), 1]))
+        erng = np.random.default_rng(np.random.SeedSequence([int(seed), 0, 1]))
         perm = erng.permutation(len(rows))
         losses = []
         for start in range(0, len(perm) - n_b + 1, n_b):

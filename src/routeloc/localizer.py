@@ -9,13 +9,14 @@ The incremental search (``start_candidates``, ``advance_candidates``)
 keeps one observation per step.  Its candidates are nodes of a
 ``RouteTree``: every self-avoiding route over the allowed locations, with
 each node's legal extensions stored as a contiguous block of children,
-ascending by row, and the turn bit of each node's last segment.  None of
-this depends on the query, so the tree is built on demand, once per
-(graph, exclusions, turn threshold), and cached on the graph: it is shared
-by every query and freed with the graph.  A step gathers the children of
-the current frontier, adds their costs, drops children whose turn bit
-disagrees with the query's, and culls the worst candidates.  Only frontier
-nodes that no earlier query reached are expanded.
+ascending by row, and the turn bit of each node's last segment under the
+fixed ``DEFAULT_TURN_THRESHOLD``.  None of this depends on the query, so
+the tree is built on demand, once per (graph, exclusion set), and cached
+on the graph: it is shared by every query and freed with the graph.  A
+step gathers the children of the current frontier, adds their costs, drops
+children whose turn bit disagrees with the query's when the query's turn
+bits are given, and culls the worst candidates.  Only frontier nodes that
+no earlier query reached are expanded.
 
 One candidate set can search Q queries in lockstep.  Its frontier holds
 every query's candidates as one array, in (query, lexicographic route)
@@ -46,7 +47,6 @@ import numpy as np
 
 from .store import DescriptorStore
 from .world import (
-    DEFAULT_TURN_THRESHOLD,
     MapGraph,
     Route,
     TurnPattern,
@@ -71,23 +71,19 @@ class CandidateBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class LocalizerConfig:
-    """Search behavior: turn filtering, per-step culling and report depth."""
+    """Search behavior: per-step culling and report depth."""
 
-    use_turns: bool = False
     cull_fraction: float = 0.0
     cull_floor: int = 100
     top_k: int | None = None
-    turn_threshold: float = DEFAULT_TURN_THRESHOLD
 
     def __post_init__(self):
         if not 0.0 <= self.cull_fraction < 1.0:
             raise ValueError(f"cull_fraction must be in [0, 1), got {self.cull_fraction}")
-        if self.cull_floor < 1:
+        if not self.cull_floor >= 1:
             raise ValueError(f"cull_floor must be >= 1, got {self.cull_floor}")
-        if self.top_k is not None and self.top_k < 1:
+        if self.top_k is not None and not self.top_k >= 1:
             raise ValueError(f"top_k must be >= 1 or None, got {self.top_k}")
-        if not 0.0 <= self.turn_threshold < 180.0:
-            raise ValueError(f"turn_threshold must be in [0, 180), got {self.turn_threshold}")
 
 
 class RouteTree:
@@ -99,20 +95,19 @@ class RouteTree:
     ``first[i] < 0`` marks a node not yet expanded.  An expanded node's
     children are nodes ``first[i] .. first[i] + count[i] - 1``: its legal
     one-location extensions, ascending by row.  ``bit[i]`` is the turn bit
-    of a node's last segment under ``threshold`` (0 for routes of one or
-    two locations).
+    of a node's last segment: whether its bearing turns by more than
+    ``DEFAULT_TURN_THRESHOLD`` degrees from the segment before (0 for routes
+    of one or two locations).
 
-    Nothing here depends on a query, so one tree serves every search over
-    the graph with the same exclusions and threshold (see ``route_tree``).
-    The tree keeps no parent pointers: expanding a node needs its whole
+    Nothing here depends on a query, and the threshold is fixed, so one tree
+    serves every search over the graph with the same exclusion set (see
+    ``route_tree``).  The tree keeps no parent pointers: expanding a node needs its whole
     route, which the candidate set that reached the node supplies.  It holds
     the graph's index arrays but not the graph, so the graph's cache of
     trees makes no reference cycle.
     """
 
-    def __init__(self, g: MapGraph, exclusions: frozenset, threshold: float):
-        self.exclusions = exclusions
-        self.threshold = threshold
+    def __init__(self, g: MapGraph, exclusions: frozenset):
         allowed = g.allowed_mask(exclusions)
         nbr = g.neighbor_rows
         # Legal next rows of each row, ascending; -1 marks a pad or an excluded row.
@@ -151,8 +146,7 @@ class RouteTree:
             # Where last sits among prev's neighbors: adjacency is symmetric.
             prev = walks[:, -2]
             into = (self.neighbors[prev] == last[:, None]).argmax(axis=1)
-            turns = bearing_turns(self.bearings[prev, into, None], self.bearings[last],
-                                  self.threshold)
+            turns = bearing_turns(self.bearings[prev, into, None], self.bearings[last])
             self.bit[start:end] = turns[ok]
 
     def _reserve(self, n: int) -> None:
@@ -173,17 +167,16 @@ class RouteTree:
             del old, new
 
 
-def route_tree(g: MapGraph, exclusions: Iterable[str] = (),
-               threshold: float = DEFAULT_TURN_THRESHOLD) -> RouteTree:
-    """The graph's route tree for these exclusions and turn threshold, built once.
+def route_tree(g: MapGraph, exclusions: Iterable[str] = ()) -> RouteTree:
+    """The graph's route tree for this exclusion set, built once.
 
     The tree is cached on the graph, so it is shared by every search over
     that graph and freed with it.
     """
-    key = (frozenset(exclusions), float(threshold))
+    key = frozenset(exclusions)
     tree = g._route_trees.get(key)
     if tree is None:
-        tree = g._route_trees[key] = RouteTree(g, *key)
+        tree = g._route_trees[key] = RouteTree(g, key)
     return tree
 
 
@@ -209,10 +202,6 @@ class CandidateSet:
         self._tops = {}
 
     @property
-    def exclusions(self) -> frozenset:
-        return self.tree.exclusions
-
-    @property
     def length_m(self) -> int:
         return len(self._steps)
 
@@ -232,10 +221,7 @@ class CandidateSet:
 
     def ranked(self, top_k: int | None = None, q: int = 0) -> list:
         """Query q's full (route, distance) ranking, cut to ``top_k`` if set."""
-        if top_k is not None:
-            return self.top(top_k, q)
-        lo, hi = self._segment(q)
-        return self._listing(lo + np.argsort(self._dists[lo:hi], kind="stable"))
+        return self.top(self.size if top_k is None else top_k, q)
 
     def top(self, k: int, q: int = 0) -> list:
         """First k of query q's ranking.
@@ -290,7 +276,7 @@ def start_candidates(g: MapGraph, costs, exclusions: Iterable[str] = (),
     query; each query starts from every root and is culled by itself.
     """
     costs = _check_costs(g, costs)
-    tree = route_tree(g, exclusions, cfg.turn_threshold)
+    tree = route_tree(g, exclusions)
     roots = np.arange(tree.roots, dtype=np.int32)
     nodes = np.tile(roots, len(costs))
     dists = costs[:, tree.row[roots]].ravel()
@@ -306,19 +292,16 @@ def advance_candidates(state: CandidateSet, costs, next_turn_bit=None,
     """Extend each candidate by its legal next locations and accumulate cost.
 
     Legal means: adjacent to the current endpoint, not already on the route,
-    and free of excluded tags.  With ``cfg.use_turns`` and a query turn bit,
-    extensions whose geometric turn bit disagrees are dropped.  Then the
-    worst ceil(cull_fraction * n) of each query's n candidates by
-    cumulative distance are culled, never dropping below ``cull_floor``
-    survivors.  ``costs`` is a cost vector for a one-query set or a (Q, N)
-    table, and ``next_turn_bit`` one bit or one bit per query.  ``cfg``
-    must keep the turn threshold the candidate set was started with.
+    and free of excluded tags.  When a query turn bit is given, extensions
+    whose geometric turn bit disagrees are dropped; ``None`` filters
+    nothing.  Then the worst ceil(cull_fraction * n) of each query's n
+    candidates by cumulative distance are culled, never dropping below
+    ``cull_floor`` survivors.  ``costs`` is a cost vector for a one-query
+    set or a (Q, N) table, and ``next_turn_bit`` one bit or one bit per
+    query.
     """
     costs = _check_costs(state.graph, costs, state.queries)
     tree = state.tree
-    if cfg.turn_threshold != tree.threshold:
-        raise ValueError(f"turn_threshold {cfg.turn_threshold} differs from the "
-                         f"{tree.threshold} the candidate set was started with")
     nodes = state._steps[-1][0]
     first = tree.first[nodes]
     fresh = np.nonzero(first < 0)[0]
@@ -345,7 +328,7 @@ def advance_candidates(state: CandidateSet, costs, next_turn_bit=None,
                 f"of {_MAX_FRONTIER}; cull harder or search shorter routes")
     src = np.repeat(np.arange(len(nodes), dtype=np.int32), counts)
     child = np.arange(len(src), dtype=np.int32) + np.repeat(first - starts[:-1], counts)
-    if cfg.use_turns and next_turn_bit is not None:
+    if next_turn_bit is not None:
         bits = np.asarray(next_turn_bit).astype(bool)
         if bits.shape not in ((), (state.queries,)):
             raise ValueError(f"need one turn bit or {state.queries}, got shape {bits.shape}")
@@ -378,9 +361,9 @@ def localize_full(query: RouteDescriptor, routes, store: DescriptorStore,
                   cfg: LocalizerConfig = LocalizerConfig()) -> list:
     """Rank candidate routes by total descriptor distance to the query.
 
-    ``routes`` must share the query's length.  When ``cfg.use_turns`` and a
-    query turn pattern are given, candidates whose map-side turn pattern
-    differs are removed first (this needs ``graph`` for geometry).  Returns
+    ``routes`` must share the query's length.  When a query turn pattern is
+    given, candidates whose map-side turn pattern differs are removed first
+    (this needs ``graph`` for geometry).  Returns
     the ranked (route, distance) list, cut to ``cfg.top_k`` if set; an empty
     list means no candidates survived.
     """
@@ -394,7 +377,7 @@ def localize_full(query: RouteDescriptor, routes, store: DescriptorStore,
     if any(len(r) != m for r in route_list):
         raise ValueError(f"all candidate routes must have the query length {m}")
     matrix = np.asarray(route_list, dtype=np.int64).reshape(len(route_list), m)
-    if cfg.use_turns and turns is not None and route_list:
+    if turns is not None and route_list:
         if m < 2:
             raise ValueError("turn filtering needs routes of length >= 2")
         if graph is None:
@@ -402,7 +385,7 @@ def localize_full(query: RouteDescriptor, routes, store: DescriptorStore,
         tq = np.asarray(turns, dtype=np.uint8)
         if tq.shape != (m - 1,):
             raise ValueError(f"turn pattern must have {m - 1} bits, got {tq.shape}")
-        patterns = turn_pattern_matrix(matrix, graph, cfg.turn_threshold)
+        patterns = turn_pattern_matrix(matrix, graph)
         matrix = matrix[(patterns == tq[None, :]).all(axis=1)]
     table = store.distance_matrix(q)
     rows = store.rows_of(matrix)

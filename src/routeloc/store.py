@@ -58,9 +58,6 @@ class DescriptorStore:
     def rows_of(self, loc_ids) -> np.ndarray:
         return rows_in(self.ids, loc_ids, KeyError)
 
-    def vector(self, loc_id: int) -> np.ndarray:
-        return self.vectors[self.row_of(loc_id)]
-
     def distance_matrix(self, queries) -> np.ndarray:
         """Euclidean distances (Q, N) from each query row to every stored descriptor.
 

@@ -28,6 +28,7 @@ TAG_NAMES = (
 Route = tuple[int, ...]
 TurnPattern = tuple[int, ...]
 
+# A bearing change of more than this many degrees is a turn.
 DEFAULT_TURN_THRESHOLD = 30.0
 
 
@@ -93,7 +94,7 @@ class MapGraph:
     consumers are built lazily and cached.
     """
 
-    def __init__(self, locations: Iterable[Location], validate: bool = True):
+    def __init__(self, locations: Iterable[Location]):
         locs: dict[int, Location] = {}
         for loc in locations:
             if loc.id in locs:
@@ -104,8 +105,7 @@ class MapGraph:
         self._index_built = False
         # Route trees derived from this graph (see localizer.route_tree).
         self._route_trees = {}
-        if validate:
-            self.validate()
+        self.validate()
 
     # ------------------------------------------------------------------
     # basic access
@@ -434,13 +434,14 @@ def bearing_deg(a: Sequence[float], b: Sequence[float]) -> float:
     return math.degrees(math.atan2(b[1] - a[1], b[0] - a[0])) % 360.0
 
 
-def turn_bits(a, b, c, threshold: float = DEFAULT_TURN_THRESHOLD) -> np.ndarray:
+def turn_bits(a, b, c) -> np.ndarray:
     """Turn bits at b of the walks a -> b -> c, over broadcast (..., 2) positions.
 
     A bit is set iff the bearing of b -> c differs from that of a -> b by
-    more than ``threshold`` degrees, the difference wrapped into [0, 180].
+    more than ``DEFAULT_TURN_THRESHOLD`` degrees, the difference wrapped
+    into [0, 180].
     """
-    return bearing_turns(segment_bearings(a, b), segment_bearings(b, c), threshold)
+    return bearing_turns(segment_bearings(a, b), segment_bearings(b, c))
 
 
 def segment_bearings(a, b) -> np.ndarray:
@@ -449,26 +450,25 @@ def segment_bearings(a, b) -> np.ndarray:
     return np.degrees(np.arctan2(d[..., 1], d[..., 0]))
 
 
-def bearing_turns(b0, b1, threshold: float = DEFAULT_TURN_THRESHOLD) -> np.ndarray:
+def bearing_turns(b0, b1) -> np.ndarray:
     """Turn bits between segments of bearings b0 and b1 (see turn_bits)."""
-    return np.abs((b1 - b0 + 180.0) % 360.0 - 180.0) > threshold
+    return np.abs((b1 - b0 + 180.0) % 360.0 - 180.0) > DEFAULT_TURN_THRESHOLD
 
 
-def turn_pattern(route: Route, g: MapGraph, threshold: float = DEFAULT_TURN_THRESHOLD) -> TurnPattern:
+def turn_pattern(route: Route, g: MapGraph) -> TurnPattern:
     """Binary turn pattern of a route: m-1 bits for a route of m locations.
 
     Bit 0 is fixed to 0 (the first step has no preceding segment).  Bit i for
     1 <= i <= m-2 is 1 iff the absolute bearing change at interior location
-    i+1 exceeds ``threshold`` degrees.  Bearings come from location
+    i+1 exceeds ``DEFAULT_TURN_THRESHOLD`` degrees.  Bearings come from location
     positions, not stored headings.
     """
     if len(route) < 2:
         raise ValueError(f"route must have at least 2 locations, got {len(route)}")
-    return tuple(turn_pattern_matrix(np.asarray([route]), g, threshold)[0].tolist())
+    return tuple(turn_pattern_matrix(np.asarray([route]), g)[0].tolist())
 
 
-def turn_pattern_matrix(routes: np.ndarray, g: MapGraph,
-                        threshold: float = DEFAULT_TURN_THRESHOLD) -> np.ndarray:
+def turn_pattern_matrix(routes: np.ndarray, g: MapGraph) -> np.ndarray:
     """Vectorized turn patterns for many routes at once.
 
     ``routes`` holds location ids, shape (R, m) with m >= 2; returns a
@@ -480,5 +480,5 @@ def turn_pattern_matrix(routes: np.ndarray, g: MapGraph,
         raise ValueError("route matrix must be (R, m) with m >= 2")
     p = g.position_array[g.rows_of(rm)]             # (R, m, 2)
     bits = np.zeros((rm.shape[0], rm.shape[1] - 1), dtype=np.uint8)
-    bits[:, 1:] = turn_bits(p[:, :-2], p[:, 1:-1], p[:, 2:], threshold)
+    bits[:, 1:] = turn_bits(p[:, :-2], p[:, 1:-1], p[:, 2:])
     return bits

@@ -9,9 +9,7 @@ import pytest
 from routeloc import (
     BSD_TAG_ORDER,
     BsdNoise,
-    LocalizerConfig,
     advance_candidates,
-    bsd_from_map,
     enumerate_routes,
     hamming_cost_vector,
     map_code_matrix,
@@ -20,12 +18,17 @@ from routeloc import (
     turn_pattern,
 )
 
+def bsd_from_map(loc_id, g):
+    """Reference BSD code of one location, read off its semantic tags."""
+    tags = g.location(loc_id).tags
+    return tuple(1 if t in tags else 0 for t in BSD_TAG_ORDER)
+
+
 def search(g, cost_seq, turns=None):
     """Stepped search over per-step costs, turn-filtered when ``turns`` is given."""
-    cfg = LocalizerConfig(use_turns=turns is not None)
-    state = start_candidates(g, cost_seq[0], cfg=cfg)
+    state = start_candidates(g, cost_seq[0])
     for i, costs in enumerate(cost_seq[1:]):
-        state = advance_candidates(state, costs, None if turns is None else turns[i], cfg)
+        state = advance_candidates(state, costs, None if turns is None else turns[i])
     return state
 
 
@@ -39,10 +42,10 @@ def turn_only_routes(turns, g):
     return [r for r, _ in state.ranked()]
 
 
-def oracle_bsd_ranking(query_codes, routes, g, turns=None, threshold=30.0):
+def oracle_bsd_ranking(query_codes, routes, g, turns=None):
     scored = []
     for r in routes:
-        if turns is not None and turn_pattern(r, g, threshold) != tuple(turns):
+        if turns is not None and turn_pattern(r, g) != tuple(turns):
             continue
         d = 0
         for qc, loc in zip(query_codes, r):

@@ -66,10 +66,11 @@ class TestConfigs:
         "kwargs",
         [
             dict(sigma=-1.0),
-            dict(turn_flip_prob=1.5),
+            dict(sigma=float("nan")),
             dict(outlier_prob=-0.1),
             dict(outlier_prob=2.0),
             dict(outlier_scale=0.5),
+            dict(outlier_scale=float("nan")),
         ],
     )
     def test_noise_validation(self, kwargs):
@@ -90,6 +91,15 @@ class TestConfigs:
         base.update(kwargs)
         with pytest.raises(ValueError, match=msg):
             ExperimentConfig(**base)
+
+    def test_unknown_exclusion_fails_before_training(self):
+        # A misspelt tag fails at the config, before any training or simulation.
+        with mock.patch.object(bench, "train_encoders") as train, \
+                mock.patch.object(bench, "simulate_routes") as simulate:
+            with pytest.raises(ValueError, match=r"unknown exclusion tags \['tunel'\]"):
+                run_experiment(small_cfg(method="ES", exclusions=("tunel", "motorway")))
+        train.assert_not_called()
+        simulate.assert_not_called()
 
 
 @pytest.fixture(scope="module")
@@ -194,6 +204,20 @@ class TestRunExperiment:
             assert rep.localized_top1[m] <= rep.localized_top5[m]
             assert all(0 <= i < n for i in rep.localized_top5[m])
 
+    @pytest.mark.parametrize("method", METHODS)
+    def test_turn_bits_only_for_turn_methods(self, method):
+        # The search filters on turns exactly when it is given turn bits.
+        bits, advance = [], bench.advance_candidates
+
+        def recording_advance(state, costs, next_turn_bit, cfg):
+            bits.append(next_turn_bit)
+            return advance(state, costs, next_turn_bit, cfg)
+
+        with mock.patch.object(bench, "advance_candidates", recording_advance):
+            run_experiment(small_cfg(method=method, route_count=3))
+        with_turns = method in ("ES+T", "BSD+T", "T-only")
+        assert bits and all((b is not None) == with_turns for b in bits)
+
     def test_deterministic(self):
         cfg = small_cfg(method="ES")
         a = run_experiment(cfg)
@@ -204,8 +228,7 @@ class TestRunExperiment:
     def test_noise_paths_deterministic(self):
         noisy = dict(
             noise=NoiseParams(sigma=0.5, bsd=BsdNoise(0.2, 0.2),
-                              turn_flip_prob=0.3, outlier_prob=0.5,
-                              outlier_scale=5.0),
+                              outlier_prob=0.5, outlier_scale=5.0),
         )
         for method in ("ES+T", "BSD+T", "T-only"):
             a = run_experiment(small_cfg(method=method, **noisy))
@@ -219,9 +242,8 @@ class TestRunExperiment:
         g = generate_synthetic_world(cfg.world)
         views = WorldViews.from_graph(g)
         encs = train_encoders(
-            g, LossConfig(), AugmentationConfig(jitter_sigma=cfg.train.jitter_sigma),
-            epochs=cfg.train.epochs, lr=cfg.train.lr, seed=cfg.seed,
-            n_b=cfg.train.n_b, k=cfg.train.k, views=views,
+            g, LossConfig(), AugmentationConfig(),
+            epochs=cfg.train.epochs, lr=cfg.train.lr, seed=cfg.seed, views=views,
         )
         reused = run_experiment(cfg, graph=g, views=views, encoders=encs)
         assert reused.top1 == auto.top1
@@ -288,7 +310,7 @@ class TestLockstepChunks:
         "ES culled": dict(method="ES", noise=NoiseParams(sigma=0.75, outlier_prob=0.1,
                                                          outlier_scale=40.0),
                           localizer=LocalizerConfig(cull_fraction=0.5, cull_floor=10)),
-        "ES+T": dict(method="ES+T", noise=NoiseParams(sigma=0.5, turn_flip_prob=0.2)),
+        "ES+T": dict(method="ES+T", noise=NoiseParams(sigma=0.5)),
         "BSD culled": dict(method="BSD", noise=NoiseParams(bsd=BsdNoise(0.1, 0.1)),
                            localizer=LocalizerConfig(cull_fraction=0.3, cull_floor=20)),
         "T-only": dict(method="T-only"),

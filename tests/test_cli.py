@@ -9,7 +9,6 @@ import pytest
 from routeloc import localizer, retrieval
 from routeloc import (
     DescriptorStore,
-    LocalizerConfig,
     WorldViews,
     enumerate_routes,
     distance_histograms,
@@ -208,7 +207,7 @@ class TestLocalizeCommand:
         g = load_graph(pipeline["graph"])
         store = DescriptorStore.load(pipeline["map_store"])
         truth = sorted(enumerate_routes(g, length))[0]
-        vecs = np.stack([store.vector(i) for i in truth])
+        vecs = store.vectors[store.rows_of(truth)]
         qpath = tmp_path / "query.emb"
         DescriptorStore(np.arange(length), vecs).save(qpath)
         return g, truth, qpath
@@ -254,7 +253,7 @@ class TestLocalizeCommand:
         store = DescriptorStore.load(pipeline["map_store"])
         images = DescriptorStore.load(pipeline["image_store"])
         truth = sorted(enumerate_routes(g, 4))[7]
-        query = np.stack([images.vector(i) for i in truth])
+        query = images.vectors[images.rows_of(truth)]
         qpath = tmp_path / "query.emb"
         DescriptorStore(np.arange(4), query).save(qpath)
         query = DescriptorStore.load(qpath).vectors
@@ -264,8 +263,8 @@ class TestLocalizeCommand:
                      "--store", str(pipeline["map_store"]), "--query", str(qpath),
                      "--out", str(tmp_path)] + args) == 0
         routes = enumerate_routes(g, 4, ("tunnel", "motorway"))
-        want = localize_full(query, routes, store, graph=g, turns=turns,
-                             cfg=LocalizerConfig(use_turns=use_turns))
+        want = localize_full(query, routes, store, graph=g,
+                             turns=turns if use_turns else None)
         write_ranked_csv(tmp_path / "want.csv", want)
         got = (tmp_path / "ranked.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()

@@ -1,11 +1,14 @@
-"""Every module-level function and class in the package is used by the program.
+"""Every function, class, method and property in the package is used by the program.
 
-A definition counts as used when some name elsewhere in the package, in
-the benchmark harness or in the acceptance tests refers to it, or an
-attribute of a name bound to a routeloc module (``rbench.run_experiment``,
-``bench_mod.METHODS``).  Attributes of anything else (``text.encode()``)
-do not count.  Re-exports in ``__init__.py`` and unit tests do not count
-either, so code that only unit tests call shows up here.
+The program is the package, the benchmark harness and the acceptance
+tests.  A module-level definition counts as used when some name elsewhere
+in the program refers to it, or an attribute of a name bound to a routeloc
+module (``rbench.run_experiment``, ``bench_mod.METHODS``).  Attributes of
+anything else (``text.encode()``) do not count.  A method or property
+counts as used when any program file uses its name as an attribute
+(``store.rows_of``, ``cls._load_binary``), whatever the object; special
+methods (``__len__``) count as used.  Re-exports in ``__init__.py`` and
+unit tests do not count, so code that only unit tests call shows up here.
 """
 import ast
 from pathlib import Path
@@ -47,12 +50,19 @@ def _referenced_names(tree: ast.AST, skip: ast.AST | None = None) -> set:
     return names
 
 
-def test_no_definition_is_unused():
+def _program() -> tuple:
+    """Parsed package modules by file name, and the other program files' trees."""
     modules = {p.name: ast.parse(p.read_text(encoding="utf-8"))
                for p in sorted(PACKAGE.glob("*.py")) if p.name != "__init__.py"}
-    refs = {name: _referenced_names(tree) for name, tree in modules.items()}
-    for path in [ROOT / "tests" / "test_acceptance.py", *sorted((ROOT / "perfbench").glob("*.py"))]:
-        refs[str(path)] = _referenced_names(ast.parse(path.read_text(encoding="utf-8")))
+    others = {str(p): ast.parse(p.read_text(encoding="utf-8"))
+              for p in [ROOT / "tests" / "test_acceptance.py",
+                        *sorted((ROOT / "perfbench").glob("*.py"))]}
+    return modules, others
+
+
+def test_no_definition_is_unused():
+    modules, others = _program()
+    refs = {name: _referenced_names(tree) for name, tree in {**modules, **others}.items()}
     unused = []
     for name, tree in modules.items():
         elsewhere = set().union(*(r for other, r in refs.items() if other != name))
@@ -62,3 +72,16 @@ def test_no_definition_is_unused():
             if node.name not in elsewhere and node.name not in _referenced_names(tree, skip=node):
                 unused.append(f"{name}:{node.lineno} {node.name}")
     assert not unused, "defined but never used outside unit tests: " + ", ".join(unused)
+
+
+def test_no_method_or_property_is_unused():
+    modules, others = _program()
+    attrs = {node.attr for tree in [*modules.values(), *others.values()]
+             for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    unused = [f"{name}:{node.lineno} {cls.name}.{node.name}"
+              for name, tree in modules.items()
+              for cls in tree.body if isinstance(cls, ast.ClassDef)
+              for node in cls.body if isinstance(node, ast.FunctionDef)
+              and not (node.name.startswith("__") and node.name.endswith("__"))
+              and node.name not in attrs]
+    assert not unused, "methods never used outside unit tests: " + ", ".join(unused)

@@ -385,17 +385,13 @@ class TestWorldViews:
         assert v.latent_dim == 16
 
     def test_views_stay_near_base(self, small_world):
-        v = WorldViews.from_graph(small_world, seed=3, scale_sigma=0.0, view_sigma=0.0)
-        np.testing.assert_array_equal(v.map_s1, small_world.latent_matrix())
-        np.testing.assert_array_equal(v.image, small_world.latent_matrix())
-
-    def test_rotate_image_preserves_norms(self, small_world):
-        v = WorldViews.from_graph(small_world, seed=3, view_sigma=0.0, rotate_image=True)
+        # Each view is the base plus gaussian noise of scale 0.1.
+        v = WorldViews.from_graph(small_world, seed=3)
         base = small_world.latent_matrix()
-        np.testing.assert_allclose(
-            np.linalg.norm(v.image, axis=1), np.linalg.norm(base, axis=1), rtol=1e-12
-        )
-        assert not np.allclose(v.image, base)
+        for view in (v.map_s1, v.map_s2, v.image):
+            noise = view - base
+            assert 0.08 < noise.std() < 0.12
+            assert np.abs(noise).max() < 0.6
 
     def test_rows_of(self, small_world):
         v = WorldViews.from_graph(small_world)
@@ -412,27 +408,35 @@ class TestBuildBatch:
         return WorldViews.from_graph(g, seed=1)
 
     def test_shapes_and_ids(self, views):
-        batch = build_batch(views, [0, 3, 7], AugmentationConfig(seed=2), k=4)
+        batch = build_batch(views, [0, 3, 7], AugmentationConfig(), k=4,
+                            rng=np.random.default_rng(2))
         assert batch.map_latents.shape == (3, 4, 16)
         assert batch.n_b == 3 and batch.k == 4
         np.testing.assert_array_equal(batch.location_ids, views.ids[[0, 3, 7]])
 
     def test_zero_jitter_fixed_scale_is_exact(self, views):
-        aug = AugmentationConfig(jitter_sigma=0.0, scale_pick="s1", seed=2)
-        batch = build_batch(views, [1, 2], aug, k=3)
+        # Without jitter every latent is exactly a view row: a map latent
+        # one of the two tile scales, an image latent the image view.
+        aug = AugmentationConfig(jitter_sigma=0.0)
+        batch = build_batch(views, [1, 2], aug, k=3, rng=np.random.default_rng(2))
         for kk in range(3):
-            np.testing.assert_array_equal(batch.map_latents[:, kk], views.map_s1[[1, 2]])
+            for i, row in enumerate([1, 2]):
+                got = batch.map_latents[i, kk]
+                assert (got == views.map_s1[row]).all() or (got == views.map_s2[row]).all()
             np.testing.assert_array_equal(batch.image_latents[:, kk], views.image[[1, 2]])
 
     def test_s2_pick(self, views):
-        aug = AugmentationConfig(jitter_sigma=0.0, scale_pick="s2", seed=2)
-        batch = build_batch(views, [4, 6], aug, k=2)
-        np.testing.assert_array_equal(batch.map_latents[0, 0], views.map_s2[4])
-        np.testing.assert_array_equal(batch.map_latents[1, 1], views.map_s2[6])
+        # The first draw picks each map latent's tile scale, 1 meaning S2.
+        pick = np.random.default_rng(2).integers(0, 2, size=(2, 4))
+        aug = AugmentationConfig(jitter_sigma=0.0)
+        batch = build_batch(views, [4, 6], aug, k=4, rng=np.random.default_rng(2))
+        want = np.where(pick[..., None] == 1, views.map_s2[[4, 6]][:, None],
+                        views.map_s1[[4, 6]][:, None])
+        np.testing.assert_array_equal(batch.map_latents, want)
 
     def test_random_pick_mixes_scales(self, views):
-        aug = AugmentationConfig(jitter_sigma=0.0, scale_pick="random", seed=2)
-        batch = build_batch(views, np.arange(10), aug, k=6)
+        aug = AugmentationConfig(jitter_sigma=0.0)
+        batch = build_batch(views, np.arange(10), aug, k=6, rng=np.random.default_rng(2))
         is_s1 = np.isclose(batch.map_latents, views.map_s1[np.arange(10)][:, None, :]).all(-1)
         assert 0 < is_s1.sum() < is_s1.size
 
@@ -440,8 +444,6 @@ class TestBuildBatch:
         for sigma in (-0.1, math.nan, math.inf):
             with pytest.raises(ValueError, match="jitter_sigma"):
                 AugmentationConfig(jitter_sigma=sigma)
-        with pytest.raises(ValueError, match="scale_pick"):
-            AugmentationConfig(scale_pick="s3")
 
 
 class TestTraining:

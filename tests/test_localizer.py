@@ -88,11 +88,12 @@ def lockstep_searches(draw):
 
 search_configs = st.builds(
     LocalizerConfig,
-    use_turns=st.booleans(),
     cull_fraction=st.sampled_from([0.0, 0.3, 0.6]),
     cull_floor=st.integers(1, 4),
-    turn_threshold=st.sampled_from([10.0, 30.0, 60.0]),
 )
+
+# Turn bits or None: a search filters on turns exactly when it is given bits.
+maybe_turns = st.booleans()
 
 
 def run_chain(g, store, q, cfg, turns=None, exclusions=()):
@@ -104,25 +105,25 @@ def run_chain(g, store, q, cfg, turns=None, exclusions=()):
     return state
 
 
-def lockstep_chain(g, store, queries, cfg, patterns, exclusions=()):
-    """One search over all queries at once; its state at every length."""
+def lockstep_chain(g, store, queries, cfg, patterns=None, exclusions=()):
+    """One search over all queries at once, with their turn bits when given; every state."""
     def table(i):
         return np.array([store.cost_vector(q[i], g.id_array) for q in queries])
 
     states = [start_candidates(g, table(0), exclusions, cfg)]
     for i in range(1, len(queries[0])):
-        bits = [turns[i - 1] for turns in patterns]
+        bits = None if patterns is None else [turns[i - 1] for turns in patterns]
         states.append(advance_candidates(states[-1], table(i), bits, cfg))
     return states
 
 
-def oracle_ranking(query, routes, store, graph=None, turns=None, threshold=30.0):
+def oracle_ranking(query, routes, store, graph=None, turns=None):
     """Score every route by brute force and sort by (distance, id sequence)."""
     scored = []
     for r in routes:
-        if turns is not None and turn_pattern(r, graph, threshold) != tuple(turns):
+        if turns is not None and turn_pattern(r, graph) != tuple(turns):
             continue
-        d = sum(float(np.linalg.norm(query[i] - store.vector(loc)))
+        d = sum(float(np.linalg.norm(query[i] - store.vectors[store.row_of(loc)]))
                 for i, loc in enumerate(r))
         scored.append((d, tuple(r)))
     scored.sort()
@@ -137,10 +138,10 @@ class TestConfig:
             dict(cull_fraction=1.0),
             dict(cull_floor=0),
             dict(top_k=0),
-            dict(turn_threshold=float("nan")),
-            dict(turn_threshold=-1.0),
-            dict(turn_threshold=180.0),
-            dict(turn_threshold=float("inf")),
+            dict(cull_fraction=float("nan")),
+            dict(cull_fraction=float("inf")),
+            dict(cull_floor=float("nan")),
+            dict(top_k=float("nan")),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -190,13 +191,11 @@ class TestLocalizeFull:
         routes = enumerate_routes(tee_graph, 3)
         q = np.random.default_rng(7).normal(0, 1, (3, DIM))
         for turns in [(0, 0), (0, 1)]:
-            got = localize_full(q, routes, store, graph=tee_graph, turns=turns,
-                                cfg=LocalizerConfig(use_turns=True))
+            got = localize_full(q, routes, store, graph=tee_graph, turns=turns)
             want = oracle_ranking(q, routes, store, graph=tee_graph, turns=turns)
             assert [r for r, _ in got] == [r for r, _ in want]
         # The straight pattern keeps the two horizontal routes only.
-        straight = localize_full(q, routes, store, graph=tee_graph, turns=(0, 0),
-                                 cfg=LocalizerConfig(use_turns=True))
+        straight = localize_full(q, routes, store, graph=tee_graph, turns=(0, 0))
         assert {r for r, _ in straight} == {(0, 1, 2), (2, 1, 0)}
 
     def test_turn_filter_can_empty(self, path_graph):
@@ -204,8 +203,7 @@ class TestLocalizeFull:
         store = make_store(path_graph, seed=8)
         routes = enumerate_routes(path_graph, 3)
         q = np.zeros((3, DIM))
-        got = localize_full(q, routes, store, graph=path_graph, turns=(0, 1),
-                            cfg=LocalizerConfig(use_turns=True))
+        got = localize_full(q, routes, store, graph=path_graph, turns=(0, 1))
         assert got == []
 
     def test_empty_routes(self, path_graph):
@@ -218,11 +216,10 @@ class TestLocalizeFull:
         with pytest.raises(ValueError, match="query length"):
             localize_full(np.zeros((2, DIM)), [(0, 1, 2)], store)
         with pytest.raises(ValueError, match="needs the graph"):
-            localize_full(np.zeros((2, DIM)), [(0, 1)], store, turns=(0,),
-                          cfg=LocalizerConfig(use_turns=True))
+            localize_full(np.zeros((2, DIM)), [(0, 1)], store, turns=(0,))
         with pytest.raises(ValueError, match="must have 2 bits"):
             localize_full(np.zeros((3, DIM)), [(0, 1, 2)], store, graph=tee_graph,
-                          turns=(0,), cfg=LocalizerConfig(use_turns=True))
+                          turns=(0,))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_query(self, tee_graph, bad):
@@ -251,20 +248,20 @@ class TestStepping:
         q = np.random.default_rng(12).normal(0, 1, (3, DIM))
         truth = (0, 1, 3)
         turns = turn_pattern(truth, tee_graph)
-        cfg = LocalizerConfig(use_turns=True)
-        state = run_chain(tee_graph, store, q, cfg, turns=turns)
+        state = run_chain(tee_graph, store, q, LocalizerConfig(), turns=turns)
         want = localize_full(q, enumerate_routes(tee_graph, 3), store,
-                             graph=tee_graph, turns=turns, cfg=cfg)
+                             graph=tee_graph, turns=turns)
         assert state.ranked() == want
 
-    @given(tie_heavy_searches())
+    @given(tie_heavy_searches(), maybe_turns)
     @settings(max_examples=150, deadline=None)
-    def test_stepped_turn_search_equals_full_search(self, search):
+    def test_stepped_turn_search_equals_full_search(self, search, with_turns):
+        # Stepping with turn bits equals the full search given those bits;
+        # stepping with None equals the unfiltered full search.
         g, store, q, turns = search
-        cfg = LocalizerConfig(use_turns=True)
-        state = run_chain(g, store, q, cfg, turns=turns)
-        want = localize_full(q, enumerate_routes(g, len(q)), store, graph=g,
-                             turns=turns, cfg=cfg)
+        turns = turns if with_turns else None
+        state = run_chain(g, store, q, LocalizerConfig(), turns=turns)
+        want = localize_full(q, enumerate_routes(g, len(q)), store, graph=g, turns=turns)
         assert state.ranked() == want
         assert state.top(3) == want[:3]
 
@@ -295,7 +292,7 @@ class TestStepping:
         # Demanding a turn on a collinear graph kills every candidate.
         store = make_store(path_graph, seed=19)
         q = np.random.default_rng(20).normal(0, 1, (3, DIM))
-        cfg = LocalizerConfig(use_turns=True)
+        cfg = LocalizerConfig()
         state = start_candidates(path_graph, store.cost_vector(q[0], path_graph.id_array),
                                  (), cfg)
         state = localize_step(state, q[1], 0, path_graph, store, cfg)
@@ -376,10 +373,11 @@ class TestCulling:
             assert route in want
             assert dist == pytest.approx(want[route], rel=1e-12)
 
-    @given(tie_heavy_searches(), search_configs, st.booleans())
+    @given(tie_heavy_searches(), search_configs, st.booleans(), maybe_turns)
     @settings(max_examples=150, deadline=None)
-    def test_culled_ranking_is_a_subset_of_full(self, search, cfg, exclude):
+    def test_culled_ranking_is_a_subset_of_full(self, search, cfg, exclude, with_turns):
         g, store, q, turns = search
+        turns = turns if with_turns else None
         excl = ("tunnel",) if exclude else ()
         culled = run_chain(g, store, q, cfg, turns, excl).ranked()
         full = run_chain(g, store, q, dataclasses.replace(cfg, cull_fraction=0.0), turns,
@@ -390,22 +388,26 @@ class TestCulling:
 
 
 class TestLockstep:
-    @given(lockstep_searches(), search_configs, st.booleans(), st.booleans())
+    @given(lockstep_searches(), search_configs, st.booleans(), st.booleans(), maybe_turns)
     @settings(max_examples=150, deadline=None)
-    def test_equals_separate_searches(self, search, cfg, exclude, grown):
+    def test_equals_separate_searches(self, search, cfg, exclude, grown, with_turns):
         g, store, queries, patterns = search
         excl = ("tunnel",) if exclude else ()
         fresh = MapGraph(list(g.locations()))
         if grown:
             # An earlier query grows the tree the lockstep search then uses.
             run_chain(g, store, queries[-1][::-1], cfg, patterns[-1][::-1], excl)
+        if not with_turns:
+            patterns = None
         together = lockstep_chain(g, store, queries, cfg, patterns, excl)
-        for q, (query, turns) in enumerate(zip(queries, patterns)):
+        for q, query in enumerate(queries):
+            turns = None if patterns is None else patterns[q]
             alone = start_candidates(fresh, store.cost_vector(query[0], fresh.id_array),
                                      excl, cfg)
             for i, state in enumerate(together):
                 if i:
-                    alone = localize_step(alone, query[i], turns[i - 1], fresh, store, cfg)
+                    bit = None if turns is None else turns[i - 1]
+                    alone = localize_step(alone, query[i], bit, fresh, store, cfg)
                 assert state.queries == len(queries)
                 assert state.sizes[q] == alone.size
                 assert state.ranked(q=q) == alone.ranked()
@@ -432,8 +434,7 @@ class TestLockstep:
         with pytest.raises(ValueError, match="one entry per location"):
             start_candidates(tee_graph, np.zeros((0, 4)))
         with pytest.raises(ValueError, match="turn bit"):
-            advance_candidates(state, np.zeros((2, 4)), [0, 1, 1],
-                               LocalizerConfig(use_turns=True))
+            advance_candidates(state, np.zeros((2, 4)), [0, 1, 1])
         with pytest.raises(IndexError, match="query 2"):
             state.top(5, 2)
         with pytest.raises(IndexError, match="query -1"):
@@ -490,30 +491,23 @@ class TestRouteTree:
         g, store, q, turns = search
         excl = ("tunnel",) if exclude else ()
         want = run_chain(MapGraph(list(g.locations())), store, q, cfg, turns, excl).ranked()
-        # Earlier queries grow g's trees, some the tree the last query uses.
-        for other, same_tree, other_exclude in earlier:
-            if same_tree:
-                other = dataclasses.replace(other, turn_threshold=cfg.turn_threshold)
-            run_chain(g, store, q[::-1], other, turns[::-1],
-                      excl if same_tree else ("tunnel",) if other_exclude else ())
+        # Earlier queries, with or without turn bits, grow g's trees, some
+        # the tree the last query uses.
+        for other, same_tree, other_turns in earlier:
+            run_chain(g, store, q[::-1], other, turns[::-1] if other_turns else None,
+                      excl if same_tree else () if exclude else ("tunnel",))
         assert run_chain(g, store, q, cfg, turns, excl).ranked() == want
 
-    @pytest.mark.parametrize("use_turns", [False, True])
-    def test_step_threshold_other_than_start_raises(self, tee_graph, use_turns):
-        costs = np.zeros(4)
-        state = start_candidates(tee_graph, costs, (), LocalizerConfig(use_turns=use_turns))
-        with pytest.raises(ValueError, match="turn_threshold 45.0 differs"):
-            advance_candidates(state, costs, 1,
-                               LocalizerConfig(use_turns=use_turns, turn_threshold=45.0))
-
-    def test_one_tree_per_exclusions_and_threshold(self, tee_graph):
+    def test_one_tree_per_exclusion_set(self, tee_graph):
         costs = np.zeros(4)
         tree = start_candidates(tee_graph, costs).tree
-        other_cfg = LocalizerConfig(use_turns=True, cull_fraction=0.5, cull_floor=1)
+        other_cfg = LocalizerConfig(cull_fraction=0.5, cull_floor=1)
         assert start_candidates(tee_graph, costs, (), other_cfg).tree is tree
+        assert advance_candidates(start_candidates(tee_graph, costs), costs, 1).tree is tree
         assert start_candidates(tee_graph, costs, ("tunnel",)).tree is not tree
-        assert start_candidates(tee_graph, costs, (),
-                                LocalizerConfig(turn_threshold=45.0)).tree is not tree
+        assert start_candidates(tee_graph, costs, ["tunnel", "tunnel"]).tree is \
+            start_candidates(tee_graph, costs, ("tunnel",)).tree
+        assert set(tee_graph._route_trees) == {frozenset(), frozenset({"tunnel"})}
 
     def test_graph_and_tree_are_freed_with_the_last_reference(self):
         g = generate_synthetic_world(SyntheticWorldConfig(node_count=30, seed=34))

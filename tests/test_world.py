@@ -22,6 +22,7 @@ from routeloc import (
     turn_bits,
     turn_pattern_matrix,
 )
+from routeloc.world import bearing_turns
 from conftest import brute_force_routes
 
 
@@ -233,10 +234,12 @@ def fuzzed_graphs(draw):
             tags=draw(st.frozensets(st.sampled_from(TAG_NAMES))),
             latent=latent,
         ))
-    g = MapGraph(locs, validate=False)
-    assume(g.edge_count() == 0 or g.spacing > 0.0)
-    g.validate()
-    return g
+    try:
+        return MapGraph(locs)
+    except GraphInvariantError as exc:
+        # Coinciding positions leave a graph with edges but no spacing.
+        assume("spacing" not in str(exc))
+        raise
 
 
 class TestFileFormat:
@@ -411,15 +414,19 @@ class TestTurnPatterns:
             c = b + [math.cos(math.radians(b1)), math.sin(math.radians(b1))]
             return a, b, c
 
-        # 350 -> 10 degrees is a 20 degree change, not a turn at 30...
+        # 350 -> 10 degrees is a 20 degree change, not a turn at 30; the
+        # bearings wrap, so 350 -> 35 and 35 -> 350 are 45 degree turns...
         for b0, b1 in [(350.0, 10.0), (10.0, 350.0)]:
-            assert not turn_bits(*walk(b0, b1), threshold=30.0)
-            assert turn_bits(*walk(b0, b1), threshold=19.9)
-            assert not turn_bits(*walk(b0, b1), threshold=20.0 + 1e-9)
-        # ...a reversal is 180 degrees, and going straight is 0.
-        assert turn_bits(*walk(0.0, 180.0), threshold=179.9)
-        assert not turn_bits(*walk(0.0, 180.0), threshold=180.0)
-        assert not turn_bits(*walk(90.0, 90.0), threshold=0.0)
+            assert not turn_bits(*walk(b0, b1))
+        for b0, b1 in [(350.0, 35.0), (35.0, 350.0)]:
+            assert turn_bits(*walk(b0, b1))
+        # ...a reversal is a turn, and going straight is not.
+        assert turn_bits(*walk(0.0, 180.0))
+        assert not turn_bits(*walk(90.0, 90.0))
+        # Over raw bearings, the change is wrapped into [0, 180].
+        assert not bearing_turns(350.0, 19.0) and not bearing_turns(-170.0, 170.0)
+        assert bearing_turns(350.0, 21.0) and bearing_turns(-170.0, 150.0)
+        assert bearing_turns(0.0, 180.0) and not bearing_turns(180.0, -179.999)
 
     def test_turn_bits_broadcast(self):
         # One incoming segment against three outgoing ones.
@@ -441,17 +448,21 @@ class TestTurnPatterns:
             assert turn_pattern(route, tee_graph)[0] == 0
 
     def test_threshold_is_strict(self):
-        # A 30 degree bend at location 1: not a turn at the default
-        # threshold (strictly greater than), a turn just below it.
-        locs = [
-            Location(0, (0.0, 0.0), 0.0, (1,)),
-            Location(1, (1.0, 0.0), 0.0, (0, 2)),
-            Location(2, (1.0 + math.cos(math.radians(30.0)),
-                         math.sin(math.radians(30.0))), 0.0, (1,)),
-        ]
-        g = MapGraph(locs)
-        assert turn_pattern((0, 1, 2), g, threshold=30.0 + 1e-9) == (0, 0)
-        assert turn_pattern((0, 1, 2), g, threshold=29.9) == (0, 1)
+        # A bearing change of exactly 30 degrees is no turn (the test is
+        # strictly greater than), and anything past it is one.
+        assert not bearing_turns(0.0, 30.0) and not bearing_turns(0.0, -30.0)
+        assert bearing_turns(0.0, 30.0 + 1e-9) and bearing_turns(0.0, -30.0 - 1e-9)
+        assert not bearing_turns(np.array([100.0]), np.array([130.0]))[0]
+
+        def bend(deg):
+            # Location 1 bends the route 0 -> 1 -> 2 by ``deg`` degrees.
+            end = (1.0 + math.cos(math.radians(deg)), math.sin(math.radians(deg)))
+            return MapGraph([Location(0, (0.0, 0.0), 0.0, (1,)),
+                             Location(1, (1.0, 0.0), 0.0, (0, 2)),
+                             Location(2, end, 0.0, (1,))])
+
+        assert turn_pattern((0, 1, 2), bend(29.9)) == (0, 0)
+        assert turn_pattern((0, 1, 2), bend(30.1)) == (0, 1)
 
     def test_too_short_raises(self, tee_graph):
         with pytest.raises(ValueError, match="at least 2"):
