@@ -191,7 +191,7 @@ def simulate_routes(g: MapGraph, count: int = 500, max_length: int = 20,
         raise ValueError(f"count and max_length must be positive, got ({count}, {max_length})")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 11]))
     excl = frozenset(exclusions)
-    allowed_ids = [loc.id for loc in g.locations() if not (loc.tags & excl)]
+    allowed_ids = g.id_array[g.allowed_mask(excl)].tolist()
     if not allowed_ids:
         raise SimulationError("no locations remain after applying exclusions")
     allowed = set(allowed_ids)

@@ -150,10 +150,6 @@ class Encoder:
             raise ValueError("encoder weights must be (dim, latent_dim) with bias (dim,)")
 
     @property
-    def dim(self) -> int:
-        return self.weights.shape[0]
-
-    @property
     def latent_dim(self) -> int:
         return self.weights.shape[1]
 

@@ -13,10 +13,18 @@ ascending by row, and the turn bit of each node's last segment under the
 fixed ``DEFAULT_TURN_THRESHOLD``.  None of this depends on the query, so
 the tree is built on demand, once per (graph, exclusion set), and cached
 on the graph: it is shared by every query and freed with the graph.  A
-step gathers the children of the current frontier, adds their costs, drops
-children whose turn bit disagrees with the query's when the query's turn
-bits are given, and culls the worst candidates.  Only frontier nodes that
-no earlier query reached are expanded.
+step has a structural half, which gathers the children of the current
+frontier (their node ids, parent positions and graph rows), and a query
+half, which drops children whose turn bit disagrees with the query's when
+the query's turn bits are given, adds their costs and culls the worst
+candidates.  Only frontier nodes that no earlier query reached are
+expanded.
+
+A frontier that no step has turn-filtered or culled since the start is
+complete: it holds every route of its length, in lexicographic order, so
+its structural half is the same for every query.  The tree keeps that half
+for each length a complete search has reached, and later complete
+searches take it from there instead of gathering it again.
 
 One candidate set can search Q queries in lockstep.  Its frontier holds
 every query's candidates as one array, in (query, lexicographic route)
@@ -99,6 +107,15 @@ class RouteTree:
     ``DEFAULT_TURN_THRESHOLD`` degrees from the segment before (0 for routes
     of one or two locations).
 
+    ``levels[m]`` is the structural half of the step that builds the
+    complete frontier of length m, every route of m locations in
+    lexicographic order: ``(child, src, rows)``, the routes' node ids, the
+    position of each one's parent in ``levels[m - 1]`` (None at m = 1) and
+    the graph rows of their last locations.  ``levels[1]`` is the roots;
+    ``levels[m + 1]`` is filled by the first step taken from a complete
+    frontier of length m, with the arrays that step computes, and is then
+    held, about 10 bytes a node, for as long as the tree.
+
     Nothing here depends on a query, and the threshold is fixed, so one tree
     serves every search over the graph with the same exclusion set (see
     ``route_tree``).  The tree keeps no parent pointers: expanding a node needs its whole
@@ -113,8 +130,10 @@ class RouteTree:
         # Legal next rows of each row, ascending; -1 marks a pad or an excluded row.
         self.neighbors = np.where(allowed[nbr] & (nbr >= 0), nbr, -1)
         # bearings[r, j]: bearing of the segment from row r to its j-th neighbor.
-        p = g.position_array
-        self.bearings = segment_bearings(p[:, None], p[np.where(nbr >= 0, nbr, 0)])
+        p, nbr0 = g.position_array, np.where(nbr >= 0, nbr, 0)
+        bearings = segment_bearings(p[:, None], p[nbr0])
+        # turns[r, i, j]: turn bit of going on from r's i-th neighbor to that one's j-th.
+        self.turns = bearing_turns(bearings[:, :, None], bearings[nbr0])
         roots = np.nonzero(allowed)[0]
         self.roots = self.size = len(roots)
         # Rows and child counts in the narrowest type the graph allows.
@@ -122,12 +141,15 @@ class RouteTree:
         self.first = np.full(self.size, -1, dtype=np.int32)
         self.count = np.zeros(self.size, dtype=np.min_scalar_type(nbr.shape[1]))
         self.bit = np.zeros(self.size, dtype=bool)
+        self.levels = {1: (np.arange(self.roots, dtype=np.int32), None, self.row.copy())}
 
     def expand(self, nodes: np.ndarray, walks: np.ndarray) -> None:
-        """Append the children of ``nodes``, whose routes are the rows of ``walks``."""
-        last = walks[:, -1]
+        """Append the children of ``nodes``, whose routes are the columns of ``walks``."""
+        last = walks[-1]
         nbr = self.neighbors[last]
-        ok = (nbr >= 0) & ~(walks[:, None, :] == nbr[:, :, None]).any(axis=2)
+        ok = nbr >= 0
+        for step in walks[:-1]:   # a location is never its own neighbor
+            ok &= nbr != step[:, None]
         counts = ok.sum(axis=1)
         start, end = self.size, self.size + int(counts.sum())
         if end > _MAX_TREE_NODES:
@@ -140,14 +162,13 @@ class RouteTree:
         self.size = end
         self.row[start:end] = nbr[ok]
         self.first[start:end] = -1
-        if walks.shape[1] == 1:
+        if len(walks) == 1:
             self.bit[start:end] = False                     # the first step carries no turn
         else:
             # Where last sits among prev's neighbors: adjacency is symmetric.
-            prev = walks[:, -2]
+            prev = walks[-2]
             into = (self.neighbors[prev] == last[:, None]).argmax(axis=1)
-            turns = bearing_turns(self.bearings[prev, into, None], self.bearings[last])
-            self.bit[start:end] = turns[ok]
+            self.bit[start:end] = self.turns[prev, into][ok]
 
     def _reserve(self, n: int) -> None:
         """Make room for n nodes, doubling capacity up to the node budget.
@@ -190,12 +211,18 @@ class CandidateSet:
     lexicographic route order, so among equal distances the earlier
     position ranks first.  Routes are rebuilt from the steps only for the
     nodes an expansion or a ranking asks for.
+
+    ``complete`` is true when no step since the start has turn-filtered or
+    culled the set: every query's segment is then ``tree.levels[m]``, all
+    routes of length m, and the next step takes its children from the
+    tree's levels.
     """
 
     def __init__(self, graph: MapGraph, tree: RouteTree, steps: tuple, dists: np.ndarray,
-                 bounds: np.ndarray):
+                 bounds: np.ndarray, complete: bool):
         self.graph = graph
         self.tree = tree
+        self.complete = complete
         self._steps = steps
         self._dists = dists
         self._bounds = bounds
@@ -254,18 +281,18 @@ class CandidateSet:
 
     def _listing(self, pos: np.ndarray) -> list:
         """(route, distance) pairs of the candidates at frontier positions ``pos``."""
-        ids = self.graph.id_array[self._walks(pos)]
+        ids = self.graph.id_array[self._walks(pos).T]
         return list(zip(map(tuple, ids.tolist()), self._dists[pos].tolist()))
 
     def _walks(self, idx: np.ndarray) -> np.ndarray:
-        """(len(idx), m) graph rows of the routes at frontier positions ``idx``."""
+        """(m, len(idx)) graph rows of the routes at frontier positions ``idx``, step by step."""
         path = np.empty((self.length_m, len(idx)), dtype=np.int32)
         for t in range(self.length_m - 1, 0, -1):
             nodes, src = self._steps[t]
             path[t] = nodes[idx]
             idx = src[idx]
         path[0] = self._steps[0][0][idx]
-        return self.tree.row[path.T]
+        return self.tree.row[path]
 
 
 def start_candidates(g: MapGraph, costs, exclusions: Iterable[str] = (),
@@ -277,14 +304,14 @@ def start_candidates(g: MapGraph, costs, exclusions: Iterable[str] = (),
     """
     costs = _check_costs(g, costs)
     tree = route_tree(g, exclusions)
-    roots = np.arange(tree.roots, dtype=np.int32)
-    nodes = np.tile(roots, len(costs))
-    dists = costs[:, tree.row[roots]].ravel()
+    roots, _, rows = tree.levels[1]
+    nodes = roots if len(costs) == 1 else np.tile(roots, len(costs))
+    dists = costs[:, rows].ravel()
     bounds = np.arange(len(costs) + 1) * tree.roots
     keep = _survivors(dists, bounds, cfg)
     if keep is not None:
         nodes, dists, bounds = nodes[keep], dists[keep], np.searchsorted(keep, bounds)
-    return CandidateSet(g, tree, ((nodes, None),), dists, bounds)
+    return CandidateSet(g, tree, ((nodes, None),), dists, bounds, keep is None)
 
 
 def advance_candidates(state: CandidateSet, costs, next_turn_bit=None,
@@ -301,12 +328,67 @@ def advance_candidates(state: CandidateSet, costs, next_turn_bit=None,
     query.
     """
     costs = _check_costs(state.graph, costs, state.queries)
+    if next_turn_bit is not None:
+        bits = np.asarray(next_turn_bit).astype(bool)
+        if bits.shape not in ((), (state.queries,)):
+            raise ValueError(f"need one turn bit or {state.queries}, got shape {bits.shape}")
+        bits = np.broadcast_to(bits, state.queries)
+    child, src, rows, bounds = _children(state)
+    if next_turn_bit is not None:
+        keep = state.tree.bit[child] == _per_candidate(bits, bounds)
+        child, src, rows = child[keep], src[keep], rows[keep]
+        bounds = _kept_bounds(keep, bounds, len(child))
+    query = _per_candidate(np.arange(state.queries), bounds)
+    dists = state._dists[src] + costs[query, rows]
+    keep = _survivors(dists, bounds, cfg)
+    if keep is not None:
+        child, src, dists = child[keep], src[keep], dists[keep]
+        bounds = np.searchsorted(keep, bounds)
+    complete = state.complete and next_turn_bit is None and keep is None
+    return CandidateSet(state.graph, state.tree, state._steps + ((child, src),), dists,
+                        bounds, complete)
+
+
+def _children(state: CandidateSet) -> tuple:
+    """The structural half of a step: (child, src, rows, bounds) of every extension.
+
+    ``child`` are the extensions' tree nodes, ``src`` their parents'
+    frontier positions, ``rows`` the graph rows of their last locations and
+    ``bounds`` each query's segment of them.  A complete set takes them from
+    the tree's levels, and fills the next level on a miss.
+    """
+    tree, m = state.tree, state.length_m
+    if not state.complete:
+        child, src, bounds = _extend(state, state._steps[-1][0], state._bounds)
+        return child, src, tree.row[child], bounds
+    parents = tree.levels[m][0]
+    level = tree.levels.get(m + 1)
+    if level is None:
+        # Every query's segment is levels[m]: extend the first one alone.
+        child, src, _ = _extend(state, parents, np.array([0, len(parents)]))
+        level = tree.levels[m + 1] = (child, src, tree.row[child])
+    child, src, rows = level
+    n, q = len(child), state.queries
+    _check_budget(np.array([0, n]))
+    if q > 1:
+        # Each query's segment repeats the level, over parents that repeat levels[m].
+        src = (src + len(parents) * np.arange(q, dtype=np.int32)[:, None]).ravel()
+        child, rows = np.tile(child, q), np.tile(rows, q)
+    return child, src, rows, np.arange(q + 1) * n
+
+
+def _extend(state: CandidateSet, nodes: np.ndarray, bounds: np.ndarray) -> tuple:
+    """(child, src, bounds) of the legal extensions of frontier ``nodes``.
+
+    ``nodes`` are frontier positions 0 .. len(nodes)-1 of ``state``, split
+    into segments by ``bounds``; nodes no search has expanded yet are
+    expanded first.
+    """
     tree = state.tree
-    nodes = state._steps[-1][0]
     first = tree.first[nodes]
     fresh = np.nonzero(first < 0)[0]
     if len(fresh):
-        if state.queries > 1:
+        if len(bounds) > 2:
             # A route can sit in several queries' segments; expand it once.
             fresh = fresh[np.unique(nodes[fresh], return_index=True)[1]]
         # In chunks, so that a cold step's temporaries stay small.
@@ -319,31 +401,21 @@ def advance_candidates(state: CandidateSet, costs, next_turn_bit=None,
     starts = np.empty(len(nodes) + 1, dtype=np.int32)
     starts[0] = 0
     np.cumsum(counts, dtype=np.int32, out=starts[1:])
-    bounds = starts[state._bounds]
-    if starts[-1] > _MAX_FRONTIER:  # all queries together bound each one
+    bounds = starts[bounds]
+    _check_budget(bounds)
+    src = np.repeat(np.arange(len(nodes), dtype=np.int32), counts)
+    child = np.arange(len(src), dtype=np.int32) + np.repeat(first - starts[:-1], counts)
+    return child, src, bounds
+
+
+def _check_budget(bounds: np.ndarray) -> None:
+    """Raise CandidateBudgetError when a segment of ``bounds`` is past _MAX_FRONTIER."""
+    if bounds[-1] > _MAX_FRONTIER:  # all queries together bound each one
         widest = int(np.diff(bounds).max())
         if widest > _MAX_FRONTIER:
             raise CandidateBudgetError(
                 f"a step would build {widest} candidates for one query, past the budget "
                 f"of {_MAX_FRONTIER}; cull harder or search shorter routes")
-    src = np.repeat(np.arange(len(nodes), dtype=np.int32), counts)
-    child = np.arange(len(src), dtype=np.int32) + np.repeat(first - starts[:-1], counts)
-    if next_turn_bit is not None:
-        bits = np.asarray(next_turn_bit).astype(bool)
-        if bits.shape not in ((), (state.queries,)):
-            raise ValueError(f"need one turn bit or {state.queries}, got shape {bits.shape}")
-        if bits.ndim == 0:
-            bits = np.full(state.queries, bits)
-        keep = tree.bit[child] == _per_candidate(bits, bounds)
-        child, src = child[keep], src[keep]
-        bounds = _kept_bounds(keep, bounds, len(child))
-    query = _per_candidate(np.arange(state.queries), bounds)
-    dists = state._dists[src] + costs[query, tree.row[child]]
-    keep = _survivors(dists, bounds, cfg)
-    if keep is not None:
-        child, src, dists = child[keep], src[keep], dists[keep]
-        bounds = np.searchsorted(keep, bounds)
-    return CandidateSet(state.graph, tree, state._steps + ((child, src),), dists, bounds)
 
 
 def localize_step(state: CandidateSet, next_query, next_turn_bit, g: MapGraph,

@@ -242,9 +242,6 @@ class MapGraph:
         self._build_index()
         return self._nbr
 
-    def row_of(self, loc_id: int) -> int:
-        return int(self.rows_of(loc_id))
-
     def rows_of(self, loc_ids) -> np.ndarray:
         """Row indices of an array of ids, same shape (raises on unknown ids)."""
         self._build_index()

@@ -134,6 +134,33 @@ class TestSimulateRoutes:
                                  exclusions=("tunnel",), seed=5)
         assert all(tunnels.isdisjoint(r) for r in routes)
 
+    # Routes the generator gives on a world with ids 5, 8, 11, ... and some
+    # tunnels and motorways, by (seed, exclusions); pinned so that its RNG
+    # draws and the order of its options stay as they are.
+    PINNED = {
+        (0, ()): [(47, 50, 20, 17, 14, 11), (116, 119, 89, 86, 83, 80),
+                  (212, 209, 206, 236, 233, 203)],
+        (0, bench.DEFAULT_EXCLUSIONS): [(137, 134, 164, 161, 158, 188),
+                                        (173, 170, 200, 230, 233, 263),
+                                        (200, 170, 140, 110, 80, 83)],
+        (9, ()): [(278, 248, 218, 221, 224, 254), (95, 98, 101, 131, 134, 137),
+                  (296, 266, 236, 206, 209, 212)],
+        (9, bench.DEFAULT_EXCLUSIONS): [(11, 41, 44, 74, 77, 47),
+                                        (125, 128, 158, 188, 191, 194),
+                                        (296, 266, 263, 233, 230, 260)],
+    }
+
+    @pytest.mark.parametrize("seed, exclusions", list(PINNED))
+    def test_pinned_routes(self, seed, exclusions):
+        g = generate_synthetic_world(dataclasses.replace(
+            WORLD, node_count=100, tag_densities={"tunnel": 0.2, "motorway": 0.1}))
+        g = MapGraph([dataclasses.replace(loc, id=3 * loc.id + 5,
+                                          neighbors=tuple(3 * n + 5 for n in loc.neighbors))
+                      for loc in g.locations()])
+        routes = simulate_routes(g, count=3, max_length=6, exclusions=exclusions, seed=seed)
+        assert routes == self.PINNED[seed, exclusions]
+        assert all(type(i) is int for r in routes for i in r)
+
     def test_unreachable_length(self, path_graph):
         with pytest.raises(SimulationError, match="exhausted"):
             simulate_routes(path_graph, count=2, max_length=10, seed=0)

@@ -9,6 +9,11 @@ counts as used when any program file uses its name as an attribute
 (``store.rows_of``, ``cls._load_binary``), whatever the object; special
 methods (``__len__``) count as used.  Re-exports in ``__init__.py`` and
 unit tests do not count, so code that only unit tests call shows up here.
+
+The method check matches by name only: a method whose name some other
+object's attribute shares (``DescriptorStore.row_of`` and a
+``MapGraph.row_of``, ``LossConfig.dim`` and an ``Encoder.dim``) counts as
+used even when nothing calls it, so such a method has to be found by hand.
 """
 import ast
 from pathlib import Path

@@ -117,6 +117,41 @@ def lockstep_chain(g, store, queries, cfg, patterns=None, exclusions=()):
     return states
 
 
+def mixed_chain(g, store, queries, cfg, patterns, exclusions, plain, cached=True):
+    """Every state of a lockstep search that is neither culled nor turn-filtered
+    for its first ``plain`` observations.
+
+    Later observations use ``cfg``, and the turn bits when given.  With
+    ``cached`` False every state is marked incomplete, so that each step
+    extends its frontier node by node instead of reading the tree's levels.
+    """
+    def table(i):
+        return np.array([store.cost_vector(q[i], g.id_array) for q in queries])
+
+    def conf(i):
+        return LocalizerConfig() if i < plain else cfg
+
+    states = [start_candidates(g, table(0), exclusions, conf(0))]
+    for i in range(1, len(queries[0])):
+        states[-1].complete &= cached
+        bits = (None if patterns is None or i < plain
+                else [turns[i - 1] for turns in patterns])
+        states.append(advance_candidates(states[-1], table(i), bits, conf(i)))
+    return states
+
+
+def level_routes(tree, m):
+    """(n, m) graph rows of ``tree.levels[m]``'s routes, walked back through the levels."""
+    pos = np.arange(len(tree.levels[m][0]))
+    path = []
+    for t in range(m, 0, -1):
+        child, src, _ = tree.levels[t]
+        path.append(tree.row[child[pos]])
+        if src is not None:
+            pos = src[pos]
+    return np.array(path[::-1]).T
+
+
 def oracle_ranking(query, routes, store, graph=None, turns=None):
     """Score every route by brute force and sort by (distance, id sequence)."""
     scored = []
@@ -467,6 +502,28 @@ class TestBudget:
                 state = advance_candidates(state, costs)
         assert state.size > 1000
 
+    def test_frontier_budget_on_cached_levels(self, lattice):
+        costs = np.zeros(len(lattice))
+        state = start_candidates(lattice, costs)
+        for _ in range(4):
+            state = advance_candidates(state, costs)
+        tree, nodes = state.tree, state.tree.size
+        size = len(tree.levels[5][0])
+        # A later search takes length 5 from the levels, and the budget still binds it.
+        state = start_candidates(lattice, costs)
+        with mock.patch.object(localizer, "_MAX_FRONTIER", size - 1):
+            with pytest.raises(localizer.CandidateBudgetError,
+                               match=f"build {size} candidates"):
+                for _ in range(4):
+                    state = advance_candidates(state, costs)
+        assert state.complete and state.length_m == 4 and tree.size == nodes
+        # The budget is per query: three queries of that size fit a budget of one.
+        state = start_candidates(lattice, np.zeros((3, len(lattice))))
+        with mock.patch.object(localizer, "_MAX_FRONTIER", size):
+            for _ in range(4):
+                state = advance_candidates(state, np.zeros((3, len(lattice))))
+        assert list(state.sizes) == [size] * 3
+
     def test_tree_budget(self, lattice):
         costs = np.zeros(len(lattice))
         cfg = LocalizerConfig(cull_fraction=0.5, cull_floor=10)
@@ -513,12 +570,76 @@ class TestRouteTree:
         g = generate_synthetic_world(SyntheticWorldConfig(node_count=30, seed=34))
         store = make_store(g, seed=23)
         q = np.random.default_rng(24).normal(0, 1, (4, DIM))
+        # An unculled search fills the levels; a culled one then shares the tree.
+        run_chain(g, store, q, LocalizerConfig())
         state = run_chain(g, store, q, LocalizerConfig(cull_fraction=0.5, cull_floor=5))
         assert state.top(3)
-        refs = [weakref.ref(g), weakref.ref(state.tree)]
+        assert sorted(state.tree.levels) == [1, 2, 3, 4]
+        refs = [weakref.ref(g), weakref.ref(state.tree),
+                *(weakref.ref(a) for level in state.tree.levels.values()
+                  for a in level if a is not None)]
         del g, state
         gc.collect()
-        assert [r() for r in refs] == [None, None]
+        assert [r() for r in refs] == [None] * len(refs)
+
+
+class TestLevels:
+    def test_complete_search_fills_the_levels_with_its_own_steps(self):
+        g = generate_synthetic_world(SyntheticWorldConfig(node_count=30, seed=36))
+        store = make_store(g, seed=25)
+        q = np.random.default_rng(26).normal(0, 1, (5, DIM))
+        state = run_chain(g, store, q, LocalizerConfig())
+        tree = state.tree
+        assert state.complete and sorted(tree.levels) == [1, 2, 3, 4, 5]
+        for m, (nodes, src) in enumerate(state._steps, 1):
+            child, parent, rows = tree.levels[m]
+            assert child is nodes and parent is src
+            assert np.array_equal(rows, tree.row[nodes])
+            assert {tuple(r) for r in g.id_array[level_routes(tree, m)].tolist()} == \
+                enumerate_routes(g, m)
+        # A later complete search steps over the same arrays.
+        again = run_chain(g, store, q[::-1], LocalizerConfig())
+        assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(again._steps, state._steps))
+
+    @given(lockstep_searches(), search_configs, st.booleans(), st.integers(0, 4),
+           st.booleans(), maybe_turns)
+    @settings(max_examples=150, deadline=None)
+    def test_cached_levels_rank_like_a_fresh_tree(self, search, cfg, exclude, plain,
+                                                   lockstep, with_turns):
+        g, store, queries, patterns = search
+        excl = ("tunnel",) if exclude else ()
+        if not lockstep:
+            queries, patterns = queries[:1], patterns[:1]
+        if not with_turns:
+            patterns = None
+        # Levels are written only from complete frontiers.
+        states = mixed_chain(g, store, queries, cfg, patterns, excl, plain)
+        tree = states[0].tree
+        assert sorted(tree.levels) == [1] + [m + 2 for m, s in enumerate(states[:-1])
+                                              if s.complete]
+        # Complete means neither turn-filtered nor culled since the start.
+        complete = True
+        for i, state in enumerate(states):
+            routes = len(enumerate_routes(g, i + 1, excl))
+            if i >= plain:
+                complete &= ((i == 0 or patterns is None)
+                             and not (cfg.cull_fraction > 0 and routes > cfg.cull_floor))
+            assert state.complete == complete
+            if complete:
+                assert list(state.sizes) == [routes] * len(queries)
+        # Filled to full length by a complete search, the levels then serve
+        # every complete step, whatever follows it.
+        run_chain(g, store, queries[0], LocalizerConfig(), None, excl)
+        cached = mixed_chain(g, store, queries, cfg, patterns, excl, plain)
+        fresh = MapGraph(list(g.locations()))
+        uncached = mixed_chain(fresh, store, queries, cfg, patterns, excl, plain, cached=False)
+        assert len(fresh._route_trees[frozenset(excl)].levels) == 1
+        for a, b in zip(cached, uncached):
+            assert list(a.sizes) == list(b.sizes)
+            for q in range(len(queries)):
+                assert a.ranked(q=q) == b.ranked(q=q)
+                assert a.top(2, q) == b.top(2, q)
+
 
 
 class TestCheckSuccess:

@@ -142,7 +142,7 @@ class TestRowIndex:
         assert nbr.shape == (4, 3)
         for r, loc in enumerate(g.locations()):
             got = sorted(int(x) for x in nbr[r] if x >= 0)
-            assert got == sorted(g.row_of(nb) for nb in loc.neighbors)
+            assert got == sorted(int(g.rows_of(nb)) for nb in loc.neighbors)
 
     def test_rows_of_roundtrip(self, tee_graph):
         g = tee_graph
@@ -163,7 +163,7 @@ class TestRowIndex:
         ]
         g = MapGraph(locs)
         assert np.array_equal(g.rows_of([30, 4, 17]), [2, 0, 1])
-        assert g.row_of(17) == 1
+        assert int(g.rows_of(17)) == 1
 
     @pytest.mark.parametrize("owner,error", [
         ("graph", GraphInvariantError), ("store", KeyError), ("views", ValueError),
