@@ -83,9 +83,7 @@ from .world import (
     enumerate_routes,
     load_graph,
     save_graph,
-    turn_bits,
     turn_pattern,
-    turn_pattern_matrix,
 )
 
 __version__ = "0.1.0"

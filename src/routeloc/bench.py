@@ -264,7 +264,7 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
 
     use_embeddings = cfg.method in ("ES", "ES+T")
     use_bsd = cfg.method in ("BSD", "BSD+T")
-    use_turns = cfg.method in ("ES+T", "BSD+T", "T-only")
+    with_turns = cfg.method in ("ES+T", "BSD+T", "T-only")
     loss_cfg = LossConfig()
 
     store_matrix = None
@@ -314,7 +314,7 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
         nonlocal per_route
         obs = [query(idx) for idx in chunk]
         # Turn bits are passed, and so filter, only for the turn methods.
-        qbits = np.array([turn_pattern(routes[idx], g) for idx in chunk]) if use_turns else None
+        qbits = np.array([turn_pattern(routes[idx], g) for idx in chunk]) if with_turns else None
         if use_embeddings:
             descs = np.array(obs)
             costs_at = lambda i: cdist(descs[:, i], store_matrix)

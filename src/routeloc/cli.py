@@ -112,8 +112,8 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--store", required=True, help="map-side descriptor store")
     run.add_argument("--query", required=True,
                      help="store file whose ids 0..m-1 are the ordered query descriptors")
-    run.add_argument("--turns", default=None, help="comma-joined query turn bits")
-    run.add_argument("--use-turns", action="store_true")
+    run.add_argument("--turns", default=None,
+                     help="comma-joined query turn bits; filters routes by turn pattern")
     run.add_argument("--exclude", default="tunnel,motorway",
                      help="comma-joined excluded tags (empty string for none)")
     run.add_argument("--top-k", type=int, default=None)
@@ -285,6 +285,8 @@ def _cmd_eval_pr(args):
 
 
 def _cmd_localize_run(args):
+    if args.top_k is not None and args.top_k < 1:
+        raise ValueError(f"--top-k must be >= 1, got {args.top_k}")
     g = load_graph(args.graph)
     store = DescriptorStore.load(args.store)
     qstore = DescriptorStore.load(args.query)
@@ -293,19 +295,18 @@ def _cmd_localize_run(args):
     if not np.array_equal(qstore.ids, expected):
         raise ValueError("query store ids must be 0..m-1 (the query order)")
     exclusions = tuple(t for t in args.exclude.split(",") if t)
-    turns = [int(b) for b in args.turns.split(",")] if args.turns else None
-    # Turn bits are passed to the search, and so filter it, only with --use-turns.
+    # The search filters on turns exactly when it is given turn bits.
     bits = [None] * (m - 1)
-    if args.use_turns and turns is not None:
-        if len(turns) != m - 1 or not set(turns) <= {0, 1}:
+    if args.turns is not None:
+        bits = args.turns.split(",") if args.turns else []
+        if len(bits) != m - 1 or not set(bits) <= {"0", "1"}:
             raise ValueError(f"turn pattern must be {m - 1} bits of 0 or 1, got {args.turns}")
-        bits = turns
-    cfg = LocalizerConfig(top_k=args.top_k)
+        bits = [int(b) for b in bits]
     costs = store.distance_matrix(qstore.vectors)[:, store.rows_of(g.id_array)]
-    state = start_candidates(g, costs[0], exclusions, cfg)
+    state = start_candidates(g, costs[0], exclusions)
     for cost, bit in zip(costs[1:], bits):
-        state = advance_candidates(state, cost, bit, cfg)
-    ranked = state.ranked(cfg.top_k)
+        state = advance_candidates(state, cost, bit)
+    ranked = state.ranked(args.top_k)
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "ranked.csv")
     write_ranked_csv(path, ranked)

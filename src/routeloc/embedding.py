@@ -163,7 +163,13 @@ def encode_batch(latents, enc: Encoder, cfg: LossConfig) -> np.ndarray:
         )
     if not np.isfinite(latents).all():
         raise ValueError("latents must be finite")
-    raw = latents @ enc.weights.T + enc.bias
+    if latents.size == enc.latent_dim:
+        # numpy multiplies a lone row on another BLAS path than a batch, whose
+        # last bits differ; as two rows it takes the batch's path.
+        raw = (np.tile(latents.reshape(1, -1), (2, 1)) @ enc.weights.T)[0]
+        raw = raw.reshape(*latents.shape[:-1], -1) + enc.bias
+    else:
+        raw = latents @ enc.weights.T + enc.bias
     if not np.isfinite(raw).all():
         raise ValueError("encoder produced a non-finite vector; cannot normalize")
     return _normalized(raw, cfg.scale)[0]

@@ -54,14 +54,7 @@ from typing import Iterable
 import numpy as np
 
 from .store import DescriptorStore
-from .world import (
-    MapGraph,
-    Route,
-    TurnPattern,
-    bearing_turns,
-    segment_bearings,
-    turn_pattern_matrix,
-)
+from .world import MapGraph, Route, bearing_turns, segment_bearings
 
 RouteDescriptor = np.ndarray  # (m, dim) query descriptors, one per position
 
@@ -79,19 +72,16 @@ class CandidateBudgetError(ValueError):
 
 @dataclass(frozen=True)
 class LocalizerConfig:
-    """Search behavior: per-step culling and report depth."""
+    """Search behavior: per-step culling."""
 
     cull_fraction: float = 0.0
     cull_floor: int = 100
-    top_k: int | None = None
 
     def __post_init__(self):
         if not 0.0 <= self.cull_fraction < 1.0:
             raise ValueError(f"cull_fraction must be in [0, 1), got {self.cull_fraction}")
         if not self.cull_floor >= 1:
             raise ValueError(f"cull_floor must be >= 1, got {self.cull_floor}")
-        if self.top_k is not None and not self.top_k >= 1:
-            raise ValueError(f"top_k must be >= 1 or None, got {self.top_k}")
 
 
 class RouteTree:
@@ -325,19 +315,21 @@ def advance_candidates(state: CandidateSet, costs, next_turn_bit=None,
     candidates by cumulative distance are culled, never dropping below
     ``cull_floor`` survivors.  ``costs`` is a cost vector for a one-query
     set or a (Q, N) table, and ``next_turn_bit`` one bit or one bit per
-    query.
+    query, each 0 or 1.
     """
     costs = _check_costs(state.graph, costs, state.queries)
     if next_turn_bit is not None:
-        bits = np.asarray(next_turn_bit).astype(bool)
+        bits = np.asarray(next_turn_bit)
         if bits.shape not in ((), (state.queries,)):
             raise ValueError(f"need one turn bit or {state.queries}, got shape {bits.shape}")
-        bits = np.broadcast_to(bits, state.queries)
+        if not ((bits == 0) | (bits == 1)).all():
+            raise ValueError(f"turn bits must be 0 or 1, got {next_turn_bit!r}")
+        bits = np.broadcast_to(bits.astype(bool), state.queries)
     child, src, rows, bounds = _children(state)
     if next_turn_bit is not None:
-        keep = state.tree.bit[child] == _per_candidate(bits, bounds)
+        keep = np.flatnonzero(state.tree.bit[child] == _per_candidate(bits, bounds))
         child, src, rows = child[keep], src[keep], rows[keep]
-        bounds = _kept_bounds(keep, bounds, len(child))
+        bounds = np.searchsorted(keep, bounds)
     query = _per_candidate(np.arange(state.queries), bounds)
     dists = state._dists[src] + costs[query, rows]
     keep = _survivors(dists, bounds, cfg)
@@ -428,16 +420,11 @@ def localize_step(state: CandidateSet, next_query, next_turn_bit, g: MapGraph,
     return advance_candidates(state, costs, next_turn_bit, cfg)
 
 
-def localize_full(query: RouteDescriptor, routes, store: DescriptorStore,
-                  graph: MapGraph | None = None, turns: TurnPattern | None = None,
-                  cfg: LocalizerConfig = LocalizerConfig()) -> list:
+def localize_full(query: RouteDescriptor, routes, store: DescriptorStore) -> list:
     """Rank candidate routes by total descriptor distance to the query.
 
-    ``routes`` must share the query's length.  When a query turn pattern is
-    given, candidates whose map-side turn pattern differs are removed first
-    (this needs ``graph`` for geometry).  Returns
-    the ranked (route, distance) list, cut to ``cfg.top_k`` if set; an empty
-    list means no candidates survived.
+    ``routes`` must share the query's length.  Returns the whole ranked
+    (route, distance) list; an empty list means there were no candidates.
     """
     q = np.asarray(query, dtype=np.float64)
     if q.ndim != 2:
@@ -449,16 +436,6 @@ def localize_full(query: RouteDescriptor, routes, store: DescriptorStore,
     if any(len(r) != m for r in route_list):
         raise ValueError(f"all candidate routes must have the query length {m}")
     matrix = np.asarray(route_list, dtype=np.int64).reshape(len(route_list), m)
-    if turns is not None and route_list:
-        if m < 2:
-            raise ValueError("turn filtering needs routes of length >= 2")
-        if graph is None:
-            raise ValueError("turn filtering needs the graph for geometry")
-        tq = np.asarray(turns, dtype=np.uint8)
-        if tq.shape != (m - 1,):
-            raise ValueError(f"turn pattern must have {m - 1} bits, got {tq.shape}")
-        patterns = turn_pattern_matrix(matrix, graph)
-        matrix = matrix[(patterns == tq[None, :]).all(axis=1)]
     table = store.distance_matrix(q)
     rows = store.rows_of(matrix)
     # Added position by position, in the order the stepped search adds them.
@@ -466,7 +443,7 @@ def localize_full(query: RouteDescriptor, routes, store: DescriptorStore,
     for i in range(m):
         dists += table[i, rows[:, i]]
     # Ties break lexicographically on the id sequence.
-    order = np.lexsort([*matrix.T[::-1], dists])[:cfg.top_k]
+    order = np.lexsort([*matrix.T[::-1], dists])
     return list(zip(map(tuple, matrix[order].tolist()), dists[order].tolist()))
 
 
@@ -499,13 +476,6 @@ def write_ranked_csv(path, ranked) -> None:
 def _per_candidate(values: np.ndarray, bounds: np.ndarray):
     """values[q] for every candidate of query q (a scalar for one query)."""
     return values[0] if len(bounds) == 2 else np.repeat(values, bounds[1:] - bounds[:-1])
-
-
-def _kept_bounds(keep: np.ndarray, bounds: np.ndarray, kept: int) -> np.ndarray:
-    """Segment bounds once only the ``kept`` candidates where ``keep`` holds remain."""
-    starts = bounds.tolist()
-    counts = [np.count_nonzero(keep[lo:hi]) for lo, hi in zip(starts, starts[1:-1])]
-    return np.array([0, *accumulate(counts), kept])
 
 
 def _smallest(dists: np.ndarray, bounds: np.ndarray, keep: list):

@@ -431,16 +431,6 @@ def bearing_deg(a: Sequence[float], b: Sequence[float]) -> float:
     return math.degrees(math.atan2(b[1] - a[1], b[0] - a[0])) % 360.0
 
 
-def turn_bits(a, b, c) -> np.ndarray:
-    """Turn bits at b of the walks a -> b -> c, over broadcast (..., 2) positions.
-
-    A bit is set iff the bearing of b -> c differs from that of a -> b by
-    more than ``DEFAULT_TURN_THRESHOLD`` degrees, the difference wrapped
-    into [0, 180].
-    """
-    return bearing_turns(segment_bearings(a, b), segment_bearings(b, c))
-
-
 def segment_bearings(a, b) -> np.ndarray:
     """Bearings in degrees, in [-180, 180], of the segments a -> b over (..., 2) positions."""
     d = np.asarray(b) - np.asarray(a)
@@ -448,7 +438,11 @@ def segment_bearings(a, b) -> np.ndarray:
 
 
 def bearing_turns(b0, b1) -> np.ndarray:
-    """Turn bits between segments of bearings b0 and b1 (see turn_bits)."""
+    """Turn bits between segments of bearings b0 and b1.
+
+    A bit is set iff b1 differs from b0 by more than
+    ``DEFAULT_TURN_THRESHOLD`` degrees, the difference wrapped into [0, 180].
+    """
     return np.abs((b1 - b0 + 180.0) % 360.0 - 180.0) > DEFAULT_TURN_THRESHOLD
 
 
@@ -462,20 +456,6 @@ def turn_pattern(route: Route, g: MapGraph) -> TurnPattern:
     """
     if len(route) < 2:
         raise ValueError(f"route must have at least 2 locations, got {len(route)}")
-    return tuple(turn_pattern_matrix(np.asarray([route]), g)[0].tolist())
-
-
-def turn_pattern_matrix(routes: np.ndarray, g: MapGraph) -> np.ndarray:
-    """Vectorized turn patterns for many routes at once.
-
-    ``routes`` holds location ids, shape (R, m) with m >= 2; returns a
-    uint8 array of shape (R, m-1) following the same convention as
-    :func:`turn_pattern`.
-    """
-    rm = np.asarray(routes)
-    if rm.ndim != 2 or rm.shape[1] < 2:
-        raise ValueError("route matrix must be (R, m) with m >= 2")
-    p = g.position_array[g.rows_of(rm)]             # (R, m, 2)
-    bits = np.zeros((rm.shape[0], rm.shape[1] - 1), dtype=np.uint8)
-    bits[:, 1:] = turn_bits(p[:, :-2], p[:, 1:-1], p[:, 2:])
-    return bits
+    p = g.position_array[g.rows_of(route)]
+    bearings = segment_bearings(p[:-1], p[1:])
+    return (0, *bearing_turns(bearings[:-1], bearings[1:]).astype(int).tolist())

@@ -234,7 +234,7 @@ class TestLocalizeCommand:
         ret = main([
             "localize", "run", "--graph", str(pipeline["graph"]),
             "--store", str(pipeline["map_store"]), "--query", str(qpath),
-            "--exclude", "", "--use-turns", "--turns", bits,
+            "--exclude", "", "--turns", bits,
             "--out", str(tmp_path),
         ])
         assert ret == 0
@@ -245,10 +245,12 @@ class TestLocalizeCommand:
         want = turn_pattern(truth, g)
         assert all(turn_pattern(r, g) == want for r in routes)
 
-    @pytest.mark.parametrize("use_turns", [False, True])
-    def test_ranked_csv_equals_full_search(self, pipeline, tmp_path, use_turns):
+    @pytest.mark.parametrize("with_turns", [False, True])
+    def test_ranked_csv_equals_full_search(self, pipeline, tmp_path, with_turns):
         # An image-side query ranks many routes at distinct and tied
-        # distances; the stepped search must write what the batch ranker does.
+        # distances; the stepped search must write what the batch ranker
+        # does, over every route without --turns and over the routes of the
+        # query's turn pattern with it.
         g = load_graph(pipeline["graph"])
         store = DescriptorStore.load(pipeline["map_store"])
         images = DescriptorStore.load(pipeline["image_store"])
@@ -258,13 +260,14 @@ class TestLocalizeCommand:
         DescriptorStore(np.arange(4), query).save(qpath)
         query = DescriptorStore.load(qpath).vectors
         turns = turn_pattern(truth, g)
-        args = ["--turns", ",".join(map(str, turns))] + (["--use-turns"] if use_turns else [])
+        args = ["--turns", ",".join(map(str, turns))] if with_turns else []
         assert main(["localize", "run", "--graph", str(pipeline["graph"]),
                      "--store", str(pipeline["map_store"]), "--query", str(qpath),
                      "--out", str(tmp_path)] + args) == 0
         routes = enumerate_routes(g, 4, ("tunnel", "motorway"))
-        want = localize_full(query, routes, store, graph=g,
-                             turns=turns if use_turns else None)
+        if with_turns:
+            routes = [r for r in routes if turn_pattern(r, g) == turns]
+        want = localize_full(query, routes, store)
         write_ranked_csv(tmp_path / "want.csv", want)
         got = (tmp_path / "ranked.csv").read_bytes()
         assert got == (tmp_path / "want.csv").read_bytes()
@@ -272,12 +275,22 @@ class TestLocalizeCommand:
 
     def test_bad_turn_pattern(self, pipeline, tmp_path, capsys):
         _, _, qpath = self.make_query(pipeline, tmp_path, 3)
-        for bits in ("0", "0,2"):
+        for bits in ("0", "0,2", "", "0,1,1"):
             ret = main(["localize", "run", "--graph", str(pipeline["graph"]),
                         "--store", str(pipeline["map_store"]), "--query", str(qpath),
-                        "--use-turns", "--turns", bits, "--out", str(tmp_path)])
+                        "--turns", bits, "--out", str(tmp_path)])
             assert ret == 2
             assert "error[config]: turn pattern must be 2 bits" in capsys.readouterr().err
+
+    def test_top_k_below_one(self, pipeline, tmp_path, capsys):
+        _, _, qpath = self.make_query(pipeline, tmp_path, 3)
+        with mock.patch("routeloc.cli.start_candidates") as start:
+            ret = main(["localize", "run", "--graph", str(pipeline["graph"]),
+                        "--store", str(pipeline["map_store"]), "--query", str(qpath),
+                        "--top-k", "0", "--out", str(tmp_path)])
+        assert ret == 2
+        assert "error[config]: --top-k must be >= 1, got 0" in capsys.readouterr().err
+        assert not start.called and not (tmp_path / "ranked.csv").exists()
 
     def test_candidate_budget_is_config_error(self, pipeline, tmp_path, capsys):
         _, _, qpath = self.make_query(pipeline, tmp_path, 4)

@@ -211,7 +211,9 @@ class TestEncode:
         lat = rng.normal(0, 1, (7, 4))
         batch = encode_batch(lat, enc, cfg)
         for i in range(7):
-            np.testing.assert_allclose(batch[i], encode_batch(lat[i], enc, cfg), rtol=1e-14)
+            # A lone row, 1-D or (1, d), gives exactly the row of the batch.
+            np.testing.assert_array_equal(encode_batch(lat[i], enc, cfg), batch[i])
+            np.testing.assert_array_equal(encode_batch(lat[i:i + 1], enc, cfg), batch[i:i + 1])
             raw = enc.weights @ lat[i] + enc.bias
             np.testing.assert_allclose(batch[i], cfg.scale * raw / np.linalg.norm(raw),
                                        rtol=1e-14)

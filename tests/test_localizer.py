@@ -152,6 +152,11 @@ def level_routes(tree, m):
     return np.array(path[::-1]).T
 
 
+def turn_filtered(routes, g, turns):
+    """The routes whose turn pattern is ``turns``; all of them when it is None."""
+    return [r for r in routes if turns is None or turn_pattern(r, g) == tuple(turns)]
+
+
 def oracle_ranking(query, routes, store, graph=None, turns=None):
     """Score every route by brute force and sort by (distance, id sequence)."""
     scored = []
@@ -172,11 +177,9 @@ class TestConfig:
             dict(cull_fraction=-0.1),
             dict(cull_fraction=1.0),
             dict(cull_floor=0),
-            dict(top_k=0),
             dict(cull_fraction=float("nan")),
             dict(cull_fraction=float("inf")),
             dict(cull_floor=float("nan")),
-            dict(top_k=float("nan")),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -186,7 +189,7 @@ class TestConfig:
     def test_frozen(self):
         cfg = LocalizerConfig()
         with pytest.raises(dataclasses.FrozenInstanceError):
-            cfg.top_k = 3
+            cfg.cull_floor = 3
 
 
 class TestLocalizeFull:
@@ -213,33 +216,28 @@ class TestLocalizeFull:
         assert [r for r, _ in got] == sorted(routes)
         assert len({d for _, d in got}) == 1
 
-    def test_top_k_prefix(self, tee_graph):
-        store = make_store(tee_graph, seed=4)
-        routes = enumerate_routes(tee_graph, 3)
-        q = np.random.default_rng(5).normal(0, 1, (3, DIM))
-        full = localize_full(q, routes, store)
-        cut = localize_full(q, routes, store, cfg=LocalizerConfig(top_k=2))
-        assert cut == full[:2]
-
     def test_turn_filter_matches_oracle(self, tee_graph):
+        # Routes filtered by turn pattern, then ranked, rank like the oracle.
         store = make_store(tee_graph, seed=6)
         routes = enumerate_routes(tee_graph, 3)
         q = np.random.default_rng(7).normal(0, 1, (3, DIM))
         for turns in [(0, 0), (0, 1)]:
-            got = localize_full(q, routes, store, graph=tee_graph, turns=turns)
+            got = localize_full(q, turn_filtered(routes, tee_graph, turns), store)
             want = oracle_ranking(q, routes, store, graph=tee_graph, turns=turns)
             assert [r for r, _ in got] == [r for r, _ in want]
         # The straight pattern keeps the two horizontal routes only.
-        straight = localize_full(q, routes, store, graph=tee_graph, turns=(0, 0))
+        straight = localize_full(q, turn_filtered(routes, tee_graph, (0, 0)), store)
         assert {r for r, _ in straight} == {(0, 1, 2), (2, 1, 0)}
 
     def test_turn_filter_can_empty(self, path_graph):
-        # A collinear graph has no turns at all.
+        # A collinear graph has no turns at all, so the stepped search and
+        # the filtered reference both come out empty.
         store = make_store(path_graph, seed=8)
-        routes = enumerate_routes(path_graph, 3)
         q = np.zeros((3, DIM))
-        got = localize_full(q, routes, store, graph=path_graph, turns=(0, 1))
-        assert got == []
+        want = localize_full(q, turn_filtered(enumerate_routes(path_graph, 3), path_graph,
+                                              (0, 1)), store)
+        assert want == []
+        assert run_chain(path_graph, store, q, LocalizerConfig(), turns=(0, 1)).ranked() == want
 
     def test_empty_routes(self, path_graph):
         assert localize_full(np.zeros((3, DIM)), [], make_store(path_graph)) == []
@@ -250,11 +248,6 @@ class TestLocalizeFull:
             localize_full(np.zeros(DIM), [(0, 1)], store)
         with pytest.raises(ValueError, match="query length"):
             localize_full(np.zeros((2, DIM)), [(0, 1, 2)], store)
-        with pytest.raises(ValueError, match="needs the graph"):
-            localize_full(np.zeros((2, DIM)), [(0, 1)], store, turns=(0,))
-        with pytest.raises(ValueError, match="must have 2 bits"):
-            localize_full(np.zeros((3, DIM)), [(0, 1, 2)], store, graph=tee_graph,
-                          turns=(0,))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_query(self, tee_graph, bad):
@@ -284,8 +277,8 @@ class TestStepping:
         truth = (0, 1, 3)
         turns = turn_pattern(truth, tee_graph)
         state = run_chain(tee_graph, store, q, LocalizerConfig(), turns=turns)
-        want = localize_full(q, enumerate_routes(tee_graph, 3), store,
-                             graph=tee_graph, turns=turns)
+        want = localize_full(q, turn_filtered(enumerate_routes(tee_graph, 3), tee_graph,
+                                              turns), store)
         assert state.ranked() == want
 
     @given(tie_heavy_searches(), maybe_turns)
@@ -296,7 +289,7 @@ class TestStepping:
         g, store, q, turns = search
         turns = turns if with_turns else None
         state = run_chain(g, store, q, LocalizerConfig(), turns=turns)
-        want = localize_full(q, enumerate_routes(g, len(q)), store, graph=g, turns=turns)
+        want = localize_full(q, turn_filtered(enumerate_routes(g, len(q)), g, turns), store)
         assert state.ranked() == want
         assert state.top(3) == want[:3]
 
@@ -361,6 +354,18 @@ class TestStepping:
         costs[0] = bad
         with pytest.raises(ValueError, match="finite"):
             advance_candidates(state, costs)
+
+    @pytest.mark.parametrize("bad", [2, -1, 0.5, np.nan])
+    def test_advance_rejects_bits_other_than_0_or_1(self, tee_graph, bad):
+        one = start_candidates(tee_graph, np.zeros(4))
+        two = start_candidates(tee_graph, np.zeros((2, 4)))
+        with pytest.raises(ValueError, match="turn bits must be 0 or 1"):
+            advance_candidates(one, np.zeros(4), bad)
+        with pytest.raises(ValueError, match="turn bits must be 0 or 1"):
+            advance_candidates(two, np.zeros((2, 4)), [0, bad])
+        # Booleans and 0/1 of any numeric type are bits.
+        for bit in (True, 0.0, np.uint8(1)):
+            advance_candidates(one, np.zeros(4), bit)
 
 
 class TestCulling:

@@ -19,10 +19,8 @@ from routeloc import (
     load_graph,
     save_graph,
     turn_pattern,
-    turn_bits,
-    turn_pattern_matrix,
 )
-from routeloc.world import bearing_turns
+from routeloc.world import bearing_turns, segment_bearings
 from conftest import brute_force_routes
 
 
@@ -398,6 +396,11 @@ class TestRouteEnumeration:
             enumerate_routes(tee_graph, 0)
 
 
+def turn_bits(a, b, c):
+    """Turn bits at b of the walks a -> b -> c, over broadcast (..., 2) positions."""
+    return bearing_turns(segment_bearings(a, b), segment_bearings(b, c))
+
+
 class TestTurnPatterns:
     def test_bearing_cardinal_directions(self):
         origin = (0.0, 0.0)
@@ -446,6 +449,8 @@ class TestTurnPatterns:
     def test_first_bit_fixed_zero(self, tee_graph):
         for route in [(0, 1), (3, 1), (2, 1)]:
             assert turn_pattern(route, tee_graph)[0] == 0
+        # A route of two locations has that bit alone.
+        assert {turn_pattern(r, tee_graph) for r in enumerate_routes(tee_graph, 2)} == {(0,)}
 
     def test_threshold_is_strict(self):
         # A bearing change of exactly 30 degrees is no turn (the test is
@@ -485,7 +490,7 @@ class TestTurnPatterns:
         assert rev[0] == 0
         assert rev[1:] == fwd[1:][::-1]
 
-    def test_matrix_agrees_with_scalar(self, tee_graph):
+    def test_agrees_with_scalar_loop(self, tee_graph):
         def loop_pattern(route, g, threshold=30.0):
             # Scalar reference: per-segment bearings, wrapped differences.
             pos = [g.location(i).position for i in route]
@@ -500,20 +505,7 @@ class TestTurnPatterns:
         locs = [Location(i, (float(pts[i, 0]), float(pts[i, 1])), 0.0,
                          tuple(j for j in range(9) if j != i)) for i in range(9)]
         for g, m in [(tee_graph, 3), (MapGraph(locs), 4)]:
-            routes = sorted(enumerate_routes(g, m))
-            mat = turn_pattern_matrix(np.array(routes), g)
-            for row, route in zip(mat, routes):
-                assert tuple(int(b) for b in row) == loop_pattern(route, g)
-                assert turn_pattern(route, g) == loop_pattern(route, g)
-
-    def test_matrix_m2_is_zero_column(self, tee_graph):
-        routes = sorted(enumerate_routes(tee_graph, 2))
-        mat = turn_pattern_matrix(np.array(routes), tee_graph)
-        assert mat.shape == (len(routes), 1)
-        assert not mat.any()
-
-    def test_matrix_rejects_bad_shape(self, tee_graph):
-        with pytest.raises(ValueError, match="route matrix"):
-            turn_pattern_matrix(np.array([0, 1, 2]), tee_graph)
-        with pytest.raises(ValueError, match="route matrix"):
-            turn_pattern_matrix(np.array([[0], [1]]), tee_graph)
+            for route in sorted(enumerate_routes(g, m)):
+                got = turn_pattern(route, g)
+                assert got == loop_pattern(route, g)
+                assert all(type(b) is int for b in got)
