@@ -43,7 +43,6 @@ from .embedding import (
     encode_batch,
     normalize_scale,
     pair_counts,
-    soft_margin_grad,
     soft_margin_loss,
     train_encoders,
 )

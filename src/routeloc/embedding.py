@@ -63,27 +63,19 @@ def soft_margin_loss(d, alpha: float = DEFAULT_ALPHA):
     """
     if not alpha > 0:
         raise ValueError(f"alpha must be positive, got {alpha}")
-    z = alpha * np.asarray(d, dtype=np.float64)
-    out = np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+    out = _soft_margin(np.asarray(d, dtype=np.float64), alpha)[0]
     return float(out) if out.ndim == 0 else out
 
 
-def soft_margin_grad(d, alpha: float = DEFAULT_ALPHA):
-    """Derivative of soft_margin_loss with respect to d: alpha * sigmoid(alpha*d)."""
-    z = alpha * np.asarray(d, dtype=np.float64)
-    out = alpha * _sigmoid(z).reshape(z.shape)
-    return float(out) if out.ndim == 0 else out
+def _soft_margin(d, alpha):
+    """soft_margin_loss of d and its slope alpha * sigmoid(alpha * d), from one exp.
 
-
-def _sigmoid(z):
-    # Stable logistic: exp of a non-positive argument only.
-    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    Both are exactly 0.0 at d = -inf, which is how ``batch_loss`` excludes
+    a triplet.
+    """
+    z = alpha * d
+    t = np.exp(-np.abs(z))
+    return np.maximum(z, 0.0) + np.log1p(t), alpha * (np.where(z >= 0, 1.0, t) / (1.0 + t))
 
 
 def pair_counts(n_b: int, k: int) -> tuple[int, int]:
@@ -290,7 +282,10 @@ def batch_loss(batch: TrainBatch, g_enc: Encoder, f_enc: Encoder,
     out, so a batch of coinciding embeddings always yields ln 2).
 
     The families are blocks of one distance table over the stacked
-    descriptors [x; y].  Their soft-margin weights fill one table of loss
+    descriptors [x; y].  Each family's terms span every (i, k, l, j, m);
+    an excluded one gets a negative at distance +inf (j = i) or, within a
+    domain, a positive at -inf (l = k), so its difference is -inf and its
+    loss and slope are exactly 0.0.  The slopes fill one table of loss
     derivatives by distance, which one formula turns into descriptor
     gradients (none for a pair of coinciding descriptors).
     """
@@ -301,30 +296,24 @@ def batch_loss(batch: TrainBatch, g_enc: Encoder, f_enc: Encoder,
     # Rows ordered (domain, location, augmentation); domain 0 is x, 1 is y.
     e = np.concatenate([x, y]).reshape(2 * n * k, dim)
     dist = cdist(e, e)
-    # valid[i, k, l, j, m]: the negative's location j differs from the
-    # anchor's i and, within one domain, the positive's augmentation l from k.
-    cross = np.broadcast_to(~np.eye(n, dtype=bool)[:, None, None, :, None], (n, k, k, n, k))
-    intra = cross & ~np.eye(k, dtype=bool)[None, :, :, None, None]
-    families = [(a, b, lam, cross if a != b else intra)
-                for (a, b), lam in zip(((0, 1), (1, 0), (0, 0), (1, 1)), cfg.lambdas)]
-    active = sum(valid.any() for *_, valid in families)
-    if active == 0:
-        raise ValueError("batch produced no triplets")
+    # With k = 1 the intra-domain families, the last two, have no triplets.
+    active = 4 if k > 1 else 2
 
     loss = 0.0
     # grad[a, i, k, b, j, m]: dL/d dist between descriptor (a, i, k) and (b, j, m).
     grad = np.zeros((2, n, k, 2, n, k))
     dist6 = dist.reshape(grad.shape)
-    ar = np.arange(n)
-    for a, b, lam, valid in families:
-        count = np.count_nonzero(valid)
-        if count == 0:
-            continue
-        d = dist6[a, :, :, b]
-        z = np.where(valid, d[ar, :, ar, :][..., None, None] - d[:, :, None], 0.0)
-        w = lam / (count * active)
-        loss += w * float(np.where(valid, soft_margin_loss(z, cfg.alpha), 0.0).sum())
-        wz = w * np.where(valid, soft_margin_grad(z, cfg.alpha), 0.0)
+    ar, ak = np.arange(n), np.arange(k)
+    for (a, b), lam in zip(((0, 1), (1, 0), (0, 0), (1, 1))[:active], cfg.lambdas):
+        d = dist6[a, :, :, b].copy()
+        pos = d[ar, :, ar, :]       # pos[i, k, l]: anchor (i, k) to positive (i, l)
+        d[ar, :, ar, :] = np.inf    # no negative shares the anchor's location
+        if a == b:
+            pos[:, ak, ak] = -np.inf
+        loss_t, slope = _soft_margin(pos[..., None, None] - d[:, :, None], cfg.alpha)
+        w = lam / (n * k * (k - (a == b)) * (n - 1) * k * active)
+        loss += w * float(loss_t.sum())
+        wz = w * slope
         block = grad[a, :, :, b]
         block[ar, :, ar, :] += wz.sum(axis=(3, 4))
         block -= wz.sum(axis=2)

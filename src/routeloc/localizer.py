@@ -49,6 +49,7 @@ import csv
 import math
 from dataclasses import dataclass
 from itertools import accumulate
+from numbers import Integral
 from typing import Iterable
 
 import numpy as np
@@ -80,8 +81,9 @@ class LocalizerConfig:
     def __post_init__(self):
         if not 0.0 <= self.cull_fraction < 1.0:
             raise ValueError(f"cull_fraction must be in [0, 1), got {self.cull_fraction}")
-        if not self.cull_floor >= 1:
-            raise ValueError(f"cull_floor must be >= 1, got {self.cull_floor}")
+        if (isinstance(self.cull_floor, bool) or not isinstance(self.cull_floor, Integral)
+                or self.cull_floor < 1):
+            raise ValueError(f"cull_floor must be a whole number >= 1, got {self.cull_floor!r}")
 
 
 class RouteTree:
@@ -100,8 +102,9 @@ class RouteTree:
     ``levels[m]`` is the structural half of the step that builds the
     complete frontier of length m, every route of m locations in
     lexicographic order: ``(child, src, rows)``, the routes' node ids, the
-    position of each one's parent in ``levels[m - 1]`` (None at m = 1) and
-    the graph rows of their last locations.  ``levels[1]`` is the roots;
+    position of each one's parent in ``levels[m - 1]`` and the graph rows
+    of their last locations.  ``levels[1]`` is the roots, each with parent
+    position 0, the empty route a search starts from;
     ``levels[m + 1]`` is filled by the first step taken from a complete
     frontier of length m, with the arrays that step computes, and is then
     held, about 10 bytes a node, for as long as the tree.
@@ -131,7 +134,8 @@ class RouteTree:
         self.first = np.full(self.size, -1, dtype=np.int32)
         self.count = np.zeros(self.size, dtype=np.min_scalar_type(nbr.shape[1]))
         self.bit = np.zeros(self.size, dtype=bool)
-        self.levels = {1: (np.arange(self.roots, dtype=np.int32), None, self.row.copy())}
+        self.levels = {1: (np.arange(self.roots, dtype=np.int32),
+                           np.zeros(self.roots, dtype=np.int32), self.row.copy())}
 
     def expand(self, nodes: np.ndarray, walks: np.ndarray) -> None:
         """Append the children of ``nodes``, whose routes are the columns of ``walks``."""
@@ -196,11 +200,13 @@ class CandidateSet:
 
     ``_steps[t]`` holds the frontier after observation t+1 as (nodes, src):
     tree node ids, and for each node the position of its parent in the
-    frontier before it (None at the first step).  Query q's candidates sit
-    at positions ``_bounds[q]:_bounds[q+1]`` of every frontier, listed in
-    lexicographic route order, so among equal distances the earlier
-    position ranks first.  Routes are rebuilt from the steps only for the
-    nodes an expansion or a ranking asks for.
+    frontier before it.  The first step is taken from a frontier of one
+    empty route per query, at distance 0, so its parents are the query
+    indices.  Query q's candidates sit at positions
+    ``_bounds[q]:_bounds[q+1]`` of every frontier, listed in lexicographic
+    route order, so among equal distances the earlier position ranks
+    first.  Routes are rebuilt from the steps only for the nodes an
+    expansion or a ranking asks for.
 
     ``complete`` is true when no step since the start has turn-filtered or
     culled the set: every query's segment is then ``tree.levels[m]``, all
@@ -290,18 +296,13 @@ def start_candidates(g: MapGraph, costs, exclusions: Iterable[str] = (),
     """Length-1 candidates: every non-excluded location, seeded with its cost.
 
     ``costs`` is one cost vector (N,) or a (Q, N) table with one row per
-    query; each query starts from every root and is culled by itself.
+    query.  This is the step from each query's empty route, at distance 0,
+    to every root, and each query is culled by itself.
     """
-    costs = _check_costs(g, costs)
-    tree = route_tree(g, exclusions)
-    roots, _, rows = tree.levels[1]
-    nodes = roots if len(costs) == 1 else np.tile(roots, len(costs))
-    dists = costs[:, rows].ravel()
-    bounds = np.arange(len(costs) + 1) * tree.roots
-    keep = _survivors(dists, bounds, cfg)
-    if keep is not None:
-        nodes, dists, bounds = nodes[keep], dists[keep], np.searchsorted(keep, bounds)
-    return CandidateSet(g, tree, ((nodes, None),), dists, bounds, keep is None)
+    queries = len(_check_costs(g, costs))
+    empty = CandidateSet(g, route_tree(g, exclusions), (), np.zeros(queries),
+                         np.arange(queries + 1), True)
+    return advance_candidates(empty, costs, None, cfg)
 
 
 def advance_candidates(state: CandidateSet, costs, next_turn_bit=None,
@@ -353,18 +354,19 @@ def _children(state: CandidateSet) -> tuple:
     if not state.complete:
         child, src, bounds = _extend(state, state._steps[-1][0], state._bounds)
         return child, src, tree.row[child], bounds
-    parents = tree.levels[m][0]
+    # Every query's segment is levels[m] (the empty route at m = 0).
+    width = int(state._bounds[1])
     level = tree.levels.get(m + 1)
     if level is None:
-        # Every query's segment is levels[m]: extend the first one alone.
-        child, src, _ = _extend(state, parents, np.array([0, len(parents)]))
+        # Extend the first segment alone.
+        child, src, _ = _extend(state, tree.levels[m][0], np.array([0, width]))
         level = tree.levels[m + 1] = (child, src, tree.row[child])
     child, src, rows = level
     n, q = len(child), state.queries
     _check_budget(np.array([0, n]))
     if q > 1:
         # Each query's segment repeats the level, over parents that repeat levels[m].
-        src = (src + len(parents) * np.arange(q, dtype=np.int32)[:, None]).ravel()
+        src = (src + width * np.arange(q, dtype=np.int32)[:, None]).ravel()
         child, rows = np.tile(child, q), np.tile(rows, q)
     return child, src, rows, np.arange(q + 1) * n
 

@@ -11,9 +11,10 @@ methods (``__len__``) count as used.  Re-exports in ``__init__.py`` and
 unit tests do not count, so code that only unit tests call shows up here.
 
 The method check matches by name only: a method whose name some other
-object's attribute shares (``DescriptorStore.row_of`` and a
-``MapGraph.row_of``, ``LossConfig.dim`` and an ``Encoder.dim``) counts as
-used even when nothing calls it, so such a method has to be found by hand.
+object's attribute shares counts as used even when nothing calls it.
+``Encoder.latent_dim`` (read by ``encode_batch``) would still pass if only
+``WorldViews.latent_dim`` were read, so such a method has to be found by
+hand.
 """
 import ast
 from pathlib import Path

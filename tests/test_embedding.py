@@ -6,11 +6,13 @@ to float precision, and its analytic gradients must agree with central
 finite differences.
 """
 import math
+import warnings
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.spatial.distance import cdist
 
 from routeloc import (
     AugmentationConfig,
@@ -28,10 +30,11 @@ from routeloc import (
     generate_synthetic_world,
     normalize_scale,
     pair_counts,
-    soft_margin_grad,
     soft_margin_loss,
     train_encoders,
 )
+from routeloc import embedding
+from routeloc.embedding import _soft_margin
 
 LN2 = math.log(2.0)
 
@@ -78,6 +81,61 @@ def oracle_loss(batch, g_enc, f_enc, cfg):
     return sum(lam * np.mean(t) for lam, t in active) / len(active)
 
 
+def _two_branch_sigmoid(z):
+    """Logistic of z with exp of a non-positive argument only, branch by branch."""
+    z = np.atleast_1d(np.asarray(z, dtype=np.float64))
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def masked_batch_loss(batch, g_enc, f_enc, cfg):
+    """batch_loss with excluded triplets masked out instead of set to -inf.
+
+    The earlier formulation: boolean masks select the valid triplets of
+    each family, and the loss and the slope alpha * sigmoid(alpha * d) are
+    evaluated separately.  batch_loss must match it bit for bit.
+    """
+    zx, zy = batch.map_latents, batch.image_latents
+    x, x_norms = embedding._forward(zx, g_enc, cfg)
+    y, y_norms = embedding._forward(zy, f_enc, cfg)
+    n, k, dim = x.shape
+    e = np.concatenate([x, y]).reshape(2 * n * k, dim)
+    dist = cdist(e, e)
+    cross = np.broadcast_to(~np.eye(n, dtype=bool)[:, None, None, :, None], (n, k, k, n, k))
+    intra = cross & ~np.eye(k, dtype=bool)[None, :, :, None, None]
+    families = [(a, b, lam, cross if a != b else intra)
+                for (a, b), lam in zip(((0, 1), (1, 0), (0, 0), (1, 1)), cfg.lambdas)]
+    active = sum(valid.any() for *_, valid in families)
+    loss = 0.0
+    grad = np.zeros((2, n, k, 2, n, k))
+    dist6 = dist.reshape(grad.shape)
+    ar = np.arange(n)
+    for a, b, lam, valid in families:
+        count = np.count_nonzero(valid)
+        if count == 0:
+            continue
+        d = dist6[a, :, :, b]
+        z = np.where(valid, d[ar, :, ar, :][..., None, None] - d[:, :, None], 0.0)
+        w = lam / (count * active)
+        loss += w * float(np.where(valid, soft_margin_loss(z, cfg.alpha), 0.0).sum())
+        slope = cfg.alpha * _two_branch_sigmoid(cfg.alpha * z).reshape(z.shape)
+        wz = w * np.where(valid, slope, 0.0)
+        block = grad[a, :, :, b]
+        block[ar, :, ar, :] += wz.sum(axis=(3, 4))
+        block -= wz.sum(axis=2)
+    c = np.divide(grad.reshape(dist.shape), dist, out=np.zeros_like(dist),
+                  where=dist > embedding._EPS)
+    s = c + c.T
+    g_emb = (s.sum(axis=1)[:, None] * e - s @ e).reshape(2, n, k, dim)
+    gw_g, gb_g = embedding._backward(g_emb[0], x, x_norms, zx, cfg.scale)
+    gw_f, gb_f = embedding._backward(g_emb[1], y, y_norms, zy, cfg.scale)
+    return float(loss), (gw_g, gb_g, gw_f, gb_f)
+
+
 def random_setup(rng, n_b, k, latent_dim, dim):
     batch = TrainBatch(
         np.arange(n_b),
@@ -105,12 +163,26 @@ class TestSoftMargin:
         d = np.linspace(-40.0, 40.0, 81)
         h = 1e-6
         fd = (soft_margin_loss(d + h, 0.3) - soft_margin_loss(d - h, 0.3)) / (2 * h)
-        np.testing.assert_allclose(soft_margin_grad(d, 0.3), fd, rtol=1e-7, atol=1e-10)
+        np.testing.assert_allclose(_soft_margin(d, 0.3)[1], fd, rtol=1e-7, atol=1e-10)
 
     def test_grad_is_alpha_sigmoid(self):
-        assert soft_margin_grad(0.0, 0.2) == pytest.approx(0.1)
-        assert soft_margin_grad(1e9, 0.2) == pytest.approx(0.2)
-        assert soft_margin_grad(-1e9, 0.2) == pytest.approx(0.0)
+        slope = _soft_margin(np.array([0.0, 1e9, -1e9]), 0.2)[1]
+        np.testing.assert_allclose(slope, [0.1, 0.2, 0.0], rtol=1e-15, atol=0.0)
+
+    @pytest.mark.parametrize("alpha", [0.2, 0.3, 5.0])
+    def test_slope_is_two_branch_sigmoid_bit_for_bit(self, alpha):
+        d = np.concatenate([[0.0, -0.0, 1e9, -1e9], np.linspace(-300.0, 300.0, 6001)])
+        loss, slope = _soft_margin(d, alpha)
+        np.testing.assert_array_equal(slope, alpha * _two_branch_sigmoid(alpha * d))
+        np.testing.assert_array_equal(loss, soft_margin_loss(d, alpha))
+
+    def test_zero_at_minus_inf(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            loss, slope = _soft_margin(np.array([-np.inf, -np.inf]), 0.2)
+            assert soft_margin_loss(-np.inf) == 0.0
+        np.testing.assert_array_equal(loss, [0.0, 0.0])
+        np.testing.assert_array_equal(slope, [0.0, 0.0])
 
     def test_rejects_bad_alpha(self):
         with pytest.raises(ValueError, match="alpha"):
@@ -281,6 +353,20 @@ class TestBatchLoss:
         batch, g_enc, f_enc = random_setup(rng, n_b, k, 4, 5)
         loss, _ = batch_loss(batch, g_enc, f_enc, cfg)
         assert loss == pytest.approx(oracle_loss(batch, g_enc, f_enc, cfg), rel=1e-12)
+
+    @pytest.mark.parametrize("n_b,k", [(2, 1), (2, 3), (3, 2), (4, 1), (5, 4), (10, 5)])
+    def test_bit_identical_to_masked_reference(self, n_b, k):
+        for seed in range(3):
+            for lambdas in ((1.0, 1.0, 1.0, 1.0), (1.0, 0.7, 1.2, 0.9), (0.0, 0.7, 1.2, 0.0)):
+                rng = np.random.default_rng([n_b, k, seed])
+                cfg = LossConfig(alpha=0.3, lambdas=lambdas, dim=5)
+                batch, g_enc, f_enc = random_setup(rng, n_b, k, 4, 5)
+                loss, grads = batch_loss(batch, g_enc, f_enc, cfg)
+                ref_loss, ref_grads = masked_batch_loss(batch, g_enc, f_enc, cfg)
+                assert loss == ref_loss
+                for got, want in zip((grads.g_weights, grads.g_bias, grads.f_weights,
+                                      grads.f_bias), ref_grads):
+                    np.testing.assert_array_equal(got, want)
 
     def test_zero_lambda_families_drop(self):
         rng = np.random.default_rng(5)

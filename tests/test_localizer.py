@@ -147,8 +147,7 @@ def level_routes(tree, m):
     for t in range(m, 0, -1):
         child, src, _ = tree.levels[t]
         path.append(tree.row[child[pos]])
-        if src is not None:
-            pos = src[pos]
+        pos = src[pos]
     return np.array(path[::-1]).T
 
 
@@ -180,11 +179,20 @@ class TestConfig:
             dict(cull_fraction=float("nan")),
             dict(cull_fraction=float("inf")),
             dict(cull_floor=float("nan")),
+            dict(cull_fraction=0.95, cull_floor=2.5),
+            dict(cull_floor=float("inf")),
+            dict(cull_floor=100.0),
+            dict(cull_floor=True),
+            dict(cull_floor=np.bool_(True)),
+            dict(cull_floor="3"),
         ],
     )
     def test_rejects_invalid(self, kwargs):
         with pytest.raises(ValueError):
             LocalizerConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        assert LocalizerConfig(cull_floor=np.int64(5)).cull_floor == 5
 
     def test_frozen(self):
         cfg = LocalizerConfig()
