@@ -45,8 +45,7 @@ class BsdNoise:
 def map_code_matrix(g: MapGraph) -> np.ndarray:
     """BSD codes for every location, shape (N, 4) uint8 in graph row order."""
     cols = [TAG_NAMES.index(t) for t in BSD_TAG_ORDER]
-    g._build_index()
-    return g._tags[:, cols].astype(np.uint8)
+    return g.tag_matrix[:, cols].astype(np.uint8)
 
 
 def simulate_query_codes(route: Route, g: MapGraph, noise: BsdNoise, rng) -> list[BsdCode]:

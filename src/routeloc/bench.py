@@ -35,7 +35,7 @@ from .embedding import (
 )
 from .localizer import LocalizerConfig, advance_candidates, check_success, start_candidates
 from .synth import SyntheticWorldConfig, generate_synthetic_world
-from .world import TAG_NAMES, MapGraph, load_graph, turn_pattern
+from .world import TAG_NAMES, MapGraph, check_whole, load_graph, turn_pattern
 
 METHODS = ("ES", "ES+T", "BSD", "BSD+T", "T-only")
 
@@ -103,14 +103,13 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.method not in METHODS:
             raise ValueError(f"unknown method {self.method!r}; expected one of {METHODS}")
-        if self.route_count < 1:
-            raise ValueError(f"route_count must be >= 1, got {self.route_count}")
+        check_whole("route_count", self.route_count, 1)
+        check_whole("success_window", self.success_window, 1)
+        check_whole("max_length", self.max_length, 1)
         if self.max_length < self.success_window:
             raise ValueError(
                 f"max_length {self.max_length} must be >= success_window {self.success_window}"
             )
-        if self.success_window < 1:
-            raise ValueError(f"success_window must be >= 1, got {self.success_window}")
         unknown = set(self.exclusions) - set(TAG_NAMES)
         if unknown:
             raise ValueError(f"unknown exclusion tags {sorted(unknown)}")

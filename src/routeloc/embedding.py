@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .world import MapGraph, rows_in
+from .world import MapGraph, check_whole, rows_in
 
 DEFAULT_ALPHA = 0.2
 DEFAULT_SCALE = 32.0
@@ -113,8 +113,7 @@ class LossConfig:
             raise ValueError(f"lambdas must be 4 finite non-negative weights, got {self.lambdas}")
         if not 0 < self.scale < math.inf:
             raise ValueError(f"scale must be positive and finite, got {self.scale}")
-        if self.dim < 1:
-            raise ValueError(f"dim must be >= 1, got {self.dim}")
+        check_whole("dim", self.dim, 1)
 
 
 @dataclass(frozen=True)

@@ -12,11 +12,13 @@ each node's legal extensions stored as a contiguous block of children,
 ascending by row, and the turn bit of each node's last segment under the
 fixed ``DEFAULT_TURN_THRESHOLD``.  None of this depends on the query, so
 the tree is built on demand, once per (graph, exclusion set), and cached
-on the graph: it is shared by every query and freed with the graph.  A
-step has a structural half, which gathers the children of the current
-frontier (their node ids, parent positions and graph rows), and a query
-half, which drops children whose turn bit disagrees with the query's when
-the query's turn bits are given, adds their costs and culls the worst
+by graph: it is shared by every query and freed with the graph.  Each
+node records its parent, so any node's route can be read back from the
+tree.  A step has a structural half, which gathers the children of the
+current frontier (their node ids and graph rows, and each frontier node's
+child count), and a query half, which repeats each parent's distance over
+its children, drops children whose turn bit disagrees with the query's
+when the query's turn bits are given, adds their costs and culls the worst
 candidates.  Only frontier nodes that no earlier query reached are
 expanded.
 
@@ -47,15 +49,15 @@ from __future__ import annotations
 
 import csv
 import math
+import weakref
 from dataclasses import dataclass
 from itertools import accumulate
-from numbers import Integral
 from typing import Iterable
 
 import numpy as np
 
 from .store import DescriptorStore
-from .world import MapGraph, Route, bearing_turns, segment_bearings
+from .world import MapGraph, Route, bearing_turns, check_whole, segment_bearings
 
 RouteDescriptor = np.ndarray  # (m, dim) query descriptors, one per position
 
@@ -81,9 +83,7 @@ class LocalizerConfig:
     def __post_init__(self):
         if not 0.0 <= self.cull_fraction < 1.0:
             raise ValueError(f"cull_fraction must be in [0, 1), got {self.cull_fraction}")
-        if (isinstance(self.cull_floor, bool) or not isinstance(self.cull_floor, Integral)
-                or self.cull_floor < 1):
-            raise ValueError(f"cull_floor must be a whole number >= 1, got {self.cull_floor!r}")
+        check_whole("cull_floor", self.cull_floor, 1)
 
 
 class RouteTree:
@@ -92,29 +92,28 @@ class RouteTree:
     Node i stands for one route (a walk that never revisits a location);
     ``row[i]`` is the graph row of its last location.  The roots, nodes
     0 .. roots-1, are the allowed locations in ascending row order.
-    ``first[i] < 0`` marks a node not yet expanded.  An expanded node's
-    children are nodes ``first[i] .. first[i] + count[i] - 1``: its legal
-    one-location extensions, ascending by row.  ``bit[i]`` is the turn bit
+    ``parent[i]`` is the node whose route node i extends by one location, -1
+    for a root.  ``first[i] < 0`` marks a node not yet expanded.  An expanded
+    node's children are nodes ``first[i] .. first[i] + count[i] - 1``: its
+    legal one-location extensions, ascending by row.  ``bit[i]`` is the turn bit
     of a node's last segment: whether its bearing turns by more than
     ``DEFAULT_TURN_THRESHOLD`` degrees from the segment before (0 for routes
     of one or two locations).
 
     ``levels[m]`` is the structural half of the step that builds the
     complete frontier of length m, every route of m locations in
-    lexicographic order: ``(child, src, rows)``, the routes' node ids, the
-    position of each one's parent in ``levels[m - 1]`` and the graph rows
-    of their last locations.  ``levels[1]`` is the roots, each with parent
-    position 0, the empty route a search starts from;
-    ``levels[m + 1]`` is filled by the first step taken from a complete
-    frontier of length m, with the arrays that step computes, and is then
-    held, about 10 bytes a node, for as long as the tree.
+    lexicographic order: ``(child, rows, counts)``, the routes' node ids,
+    the graph rows of their last locations and the child count of each
+    route of ``levels[m - 1]``.  ``levels[1]`` is the roots, all children
+    of the empty route a search starts from, so its counts are
+    ``[roots]``; ``levels[m + 1]`` is filled by the first step taken from a
+    complete frontier of length m, with the arrays that step computes, and
+    is then held for as long as the tree.
 
     Nothing here depends on a query, and the threshold is fixed, so one tree
     serves every search over the graph with the same exclusion set (see
-    ``route_tree``).  The tree keeps no parent pointers: expanding a node needs its whole
-    route, which the candidate set that reached the node supplies.  It holds
-    the graph's index arrays but not the graph, so the graph's cache of
-    trees makes no reference cycle.
+    ``route_tree``).  It holds the graph's index arrays but not the graph,
+    so the cache of trees keyed by graph makes no reference cycle.
     """
 
     def __init__(self, g: MapGraph, exclusions: frozenset):
@@ -131,14 +130,24 @@ class RouteTree:
         self.roots = self.size = len(roots)
         # Rows and child counts in the narrowest type the graph allows.
         self.row = roots.astype(np.int16 if len(g) <= 2 ** 15 else np.int32)
+        self.parent = np.full(self.size, -1, dtype=np.int32)
         self.first = np.full(self.size, -1, dtype=np.int32)
         self.count = np.zeros(self.size, dtype=np.min_scalar_type(nbr.shape[1]))
         self.bit = np.zeros(self.size, dtype=bool)
-        self.levels = {1: (np.arange(self.roots, dtype=np.int32),
-                           np.zeros(self.roots, dtype=np.int32), self.row.copy())}
+        self.levels = {1: (np.arange(self.roots, dtype=np.int32), self.row.copy(),
+                           np.array([self.roots]))}
 
-    def expand(self, nodes: np.ndarray, walks: np.ndarray) -> None:
-        """Append the children of ``nodes``, whose routes are the columns of ``walks``."""
+    def walks(self, nodes: np.ndarray, m: int) -> np.ndarray:
+        """(m, len(nodes)) graph rows of the routes of m locations that end at ``nodes``."""
+        path = np.empty((m, len(nodes)), dtype=np.int32)
+        path[m - 1] = nodes
+        for t in range(m - 1, 0, -1):
+            path[t - 1] = self.parent[path[t]]
+        return self.row[path]
+
+    def expand(self, nodes: np.ndarray, m: int) -> None:
+        """Append the children of ``nodes``, whose routes have m locations."""
+        walks = self.walks(nodes, m)
         last = walks[-1]
         nbr = self.neighbors[last]
         ok = nbr >= 0
@@ -155,8 +164,9 @@ class RouteTree:
         self.count[nodes] = counts
         self.size = end
         self.row[start:end] = nbr[ok]
+        self.parent[start:end] = np.repeat(nodes, counts)
         self.first[start:end] = -1
-        if len(walks) == 1:
+        if m == 1:
             self.bit[start:end] = False                     # the first step carries no turn
         else:
             # Where last sits among prev's neighbors: adjacency is symmetric.
@@ -174,7 +184,7 @@ class RouteTree:
         if n <= len(self.first):
             return
         cap = min(max(n, 2 * len(self.first)), _MAX_TREE_NODES)
-        for name in ("row", "first", "count", "bit"):
+        for name in ("row", "parent", "first", "count", "bit"):
             old = getattr(self, name)
             new = np.empty(cap, dtype=old.dtype)
             new[:self.size] = old[:self.size]
@@ -182,31 +192,34 @@ class RouteTree:
             del old, new
 
 
+# Route trees by graph, then by exclusion set; an entry goes with its graph.
+_route_trees = weakref.WeakKeyDictionary()
+
+
 def route_tree(g: MapGraph, exclusions: Iterable[str] = ()) -> RouteTree:
     """The graph's route tree for this exclusion set, built once.
 
-    The tree is cached on the graph, so it is shared by every search over
-    that graph and freed with it.
+    The tree is cached by graph, so it is shared by every search over that
+    graph and freed with it.
     """
     key = frozenset(exclusions)
-    tree = g._route_trees.get(key)
+    trees = _route_trees.setdefault(g, {})
+    tree = trees.get(key)
     if tree is None:
-        tree = g._route_trees[key] = RouteTree(g, key)
+        tree = trees[key] = RouteTree(g, key)
     return tree
 
 
 class CandidateSet:
     """Candidate routes of one length for Q queries: route-tree nodes and distances.
 
-    ``_steps[t]`` holds the frontier after observation t+1 as (nodes, src):
-    tree node ids, and for each node the position of its parent in the
-    frontier before it.  The first step is taken from a frontier of one
-    empty route per query, at distance 0, so its parents are the query
-    indices.  Query q's candidates sit at positions
-    ``_bounds[q]:_bounds[q+1]`` of every frontier, listed in lexicographic
-    route order, so among equal distances the earlier position ranks
-    first.  Routes are rebuilt from the steps only for the nodes an
-    expansion or a ranking asks for.
+    The set holds one frontier: ``_nodes``, the tree nodes of its routes of
+    ``length_m`` locations, and ``_dists``, their summed costs.  The first
+    step is taken from a frontier of one empty route per query, at
+    distance 0, which has no nodes.  Query q's candidates sit at positions
+    ``_bounds[q]:_bounds[q+1]``, listed in lexicographic route order, so
+    among equal distances the earlier position ranks first.  Routes are read
+    back from the tree only for the nodes a ranking asks for.
 
     ``complete`` is true when no step since the start has turn-filtered or
     culled the set: every query's segment is then ``tree.levels[m]``, all
@@ -214,19 +227,16 @@ class CandidateSet:
     tree's levels.
     """
 
-    def __init__(self, graph: MapGraph, tree: RouteTree, steps: tuple, dists: np.ndarray,
-                 bounds: np.ndarray, complete: bool):
+    def __init__(self, graph: MapGraph, tree: RouteTree, length_m: int, nodes: np.ndarray,
+                 dists: np.ndarray, bounds: np.ndarray, complete: bool):
         self.graph = graph
         self.tree = tree
+        self.length_m = length_m
         self.complete = complete
-        self._steps = steps
+        self._nodes = nodes
         self._dists = dists
         self._bounds = bounds
         self._tops = {}
-
-    @property
-    def length_m(self) -> int:
-        return len(self._steps)
 
     @property
     def queries(self) -> int:
@@ -277,18 +287,8 @@ class CandidateSet:
 
     def _listing(self, pos: np.ndarray) -> list:
         """(route, distance) pairs of the candidates at frontier positions ``pos``."""
-        ids = self.graph.id_array[self._walks(pos).T]
+        ids = self.graph.id_array[self.tree.walks(self._nodes[pos], self.length_m).T]
         return list(zip(map(tuple, ids.tolist()), self._dists[pos].tolist()))
-
-    def _walks(self, idx: np.ndarray) -> np.ndarray:
-        """(m, len(idx)) graph rows of the routes at frontier positions ``idx``, step by step."""
-        path = np.empty((self.length_m, len(idx)), dtype=np.int32)
-        for t in range(self.length_m - 1, 0, -1):
-            nodes, src = self._steps[t]
-            path[t] = nodes[idx]
-            idx = src[idx]
-        path[0] = self._steps[0][0][idx]
-        return self.tree.row[path]
 
 
 def start_candidates(g: MapGraph, costs, exclusions: Iterable[str] = (),
@@ -300,7 +300,7 @@ def start_candidates(g: MapGraph, costs, exclusions: Iterable[str] = (),
     to every root, and each query is culled by itself.
     """
     queries = len(_check_costs(g, costs))
-    empty = CandidateSet(g, route_tree(g, exclusions), (), np.zeros(queries),
+    empty = CandidateSet(g, route_tree(g, exclusions), 0, None, np.zeros(queries),
                          np.arange(queries + 1), True)
     return advance_candidates(empty, costs, None, cfg)
 
@@ -326,69 +326,66 @@ def advance_candidates(state: CandidateSet, costs, next_turn_bit=None,
         if not ((bits == 0) | (bits == 1)).all():
             raise ValueError(f"turn bits must be 0 or 1, got {next_turn_bit!r}")
         bits = np.broadcast_to(bits.astype(bool), state.queries)
-    child, src, rows, bounds = _children(state)
+    child, rows, counts, bounds = _children(state)
+    dists = np.repeat(state._dists, counts)
     if next_turn_bit is not None:
         keep = np.flatnonzero(state.tree.bit[child] == _per_candidate(bits, bounds))
-        child, src, rows = child[keep], src[keep], rows[keep]
+        child, rows, dists = child[keep], rows[keep], dists[keep]
         bounds = np.searchsorted(keep, bounds)
     query = _per_candidate(np.arange(state.queries), bounds)
-    dists = state._dists[src] + costs[query, rows]
+    dists += costs[query, rows]
     keep = _survivors(dists, bounds, cfg)
     if keep is not None:
-        child, src, dists = child[keep], src[keep], dists[keep]
+        child, dists = child[keep], dists[keep]
         bounds = np.searchsorted(keep, bounds)
     complete = state.complete and next_turn_bit is None and keep is None
-    return CandidateSet(state.graph, state.tree, state._steps + ((child, src),), dists,
-                        bounds, complete)
+    return CandidateSet(state.graph, state.tree, state.length_m + 1, child, dists, bounds,
+                        complete)
 
 
 def _children(state: CandidateSet) -> tuple:
-    """The structural half of a step: (child, src, rows, bounds) of every extension.
+    """The structural half of a step: (child, rows, counts, bounds) of every extension.
 
-    ``child`` are the extensions' tree nodes, ``src`` their parents'
-    frontier positions, ``rows`` the graph rows of their last locations and
-    ``bounds`` each query's segment of them.  A complete set takes them from
-    the tree's levels, and fills the next level on a miss.
+    ``child`` are the extensions' tree nodes, ``rows`` the graph rows of
+    their last locations, ``counts`` the number of extensions of each
+    frontier candidate and ``bounds`` each query's segment of them.  A
+    complete set takes them from the tree's levels, and fills the next level
+    on a miss.
     """
     tree, m = state.tree, state.length_m
     if not state.complete:
-        child, src, bounds = _extend(state, state._steps[-1][0], state._bounds)
-        return child, src, tree.row[child], bounds
+        child, counts, bounds = _extend(tree, state._nodes, state._bounds, m)
+        return child, tree.row[child], counts, bounds
     # Every query's segment is levels[m] (the empty route at m = 0).
-    width = int(state._bounds[1])
     level = tree.levels.get(m + 1)
     if level is None:
         # Extend the first segment alone.
-        child, src, _ = _extend(state, tree.levels[m][0], np.array([0, width]))
-        level = tree.levels[m + 1] = (child, src, tree.row[child])
-    child, src, rows = level
+        nodes = tree.levels[m][0]
+        child, counts, _ = _extend(tree, nodes, np.array([0, len(nodes)]), m)
+        level = tree.levels[m + 1] = (child, tree.row[child], counts)
+    child, rows, counts = level
     n, q = len(child), state.queries
     _check_budget(np.array([0, n]))
     if q > 1:
-        # Each query's segment repeats the level, over parents that repeat levels[m].
-        src = (src + width * np.arange(q, dtype=np.int32)[:, None]).ravel()
-        child, rows = np.tile(child, q), np.tile(rows, q)
-    return child, src, rows, np.arange(q + 1) * n
+        child, rows, counts = np.tile(child, q), np.tile(rows, q), np.tile(counts, q)
+    return child, rows, counts, np.arange(q + 1) * n
 
 
-def _extend(state: CandidateSet, nodes: np.ndarray, bounds: np.ndarray) -> tuple:
-    """(child, src, bounds) of the legal extensions of frontier ``nodes``.
+def _extend(tree: RouteTree, nodes: np.ndarray, bounds: np.ndarray, m: int) -> tuple:
+    """(child, counts, bounds) of the legal extensions of ``nodes``, routes of m locations.
 
-    ``nodes`` are frontier positions 0 .. len(nodes)-1 of ``state``, split
-    into segments by ``bounds``; nodes no search has expanded yet are
-    expanded first.
+    ``nodes`` are split into segments by ``bounds``; nodes no search has
+    expanded yet are expanded first.
     """
-    tree = state.tree
     first = tree.first[nodes]
-    fresh = np.nonzero(first < 0)[0]
+    fresh = nodes[first < 0]
     if len(fresh):
         if len(bounds) > 2:
             # A route can sit in several queries' segments; expand it once.
-            fresh = fresh[np.unique(nodes[fresh], return_index=True)[1]]
+            fresh = np.unique(fresh)
         # In chunks, so that a cold step's temporaries stay small.
         for i in range(0, len(fresh), _EXPAND_CHUNK):
-            part = fresh[i:i + _EXPAND_CHUNK]
-            tree.expand(nodes[part], state._walks(part))
+            tree.expand(fresh[i:i + _EXPAND_CHUNK], m)
         first = tree.first[nodes]
     counts = tree.count[nodes]
     # starts[i]: where node i's children begin among all children.
@@ -397,9 +394,8 @@ def _extend(state: CandidateSet, nodes: np.ndarray, bounds: np.ndarray) -> tuple
     np.cumsum(counts, dtype=np.int32, out=starts[1:])
     bounds = starts[bounds]
     _check_budget(bounds)
-    src = np.repeat(np.arange(len(nodes), dtype=np.int32), counts)
-    child = np.arange(len(src), dtype=np.int32) + np.repeat(first - starts[:-1], counts)
-    return child, src, bounds
+    child = np.arange(starts[-1], dtype=np.int32) + np.repeat(first - starts[:-1], counts)
+    return child, counts, bounds
 
 
 def _check_budget(bounds: np.ndarray) -> None:

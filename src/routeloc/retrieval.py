@@ -133,11 +133,12 @@ def precision_recall_curve(matched_d, unmatched_d, thresholds) -> PrCurve:
     u = np.asarray(unmatched_d, dtype=np.float64)
     if m.size == 0:
         raise ValueError("need at least one matched distance")
-    if np.any(m < 0) or np.any(u < 0):
-        raise ValueError("distances must be non-negative")
+    _check_distances(m, u)
     ts = sorted(float(t) for t in thresholds)
     if not ts:
         raise ValueError("need at least one threshold")
+    if not np.isfinite(ts).all():
+        raise ValueError(f"thresholds must be finite, got {ts}")
     points = []
     for t in ts:
         tp = int(np.sum(m <= t))
@@ -154,6 +155,7 @@ def distance_histograms(matched_d, unmatched_d, bin_count: int = 32) -> DistHist
     u = np.asarray(unmatched_d, dtype=np.float64)
     if m.size == 0 or u.size == 0:
         raise ValueError("both distance populations must be non-empty")
+    _check_distances(m, u)
     if bin_count < 1:
         raise ValueError(f"bin_count must be >= 1, got {bin_count}")
     hi = float(max(m.max(), u.max()))
@@ -163,3 +165,11 @@ def distance_histograms(matched_d, unmatched_d, bin_count: int = 32) -> DistHist
     mc, _ = np.histogram(m, bins=edges)
     uc, _ = np.histogram(u, bins=edges)
     return DistHistogram(edges=edges, matched_counts=mc, unmatched_counts=uc)
+
+
+def _check_distances(m: np.ndarray, u: np.ndarray) -> None:
+    """Raise ValueError unless every matched and unmatched distance is finite and >= 0."""
+    if not (np.isfinite(m).all() and np.isfinite(u).all()):
+        raise ValueError("distances must be finite")
+    if np.any(m < 0) or np.any(u < 0):
+        raise ValueError("distances must be non-negative")

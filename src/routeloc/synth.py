@@ -17,7 +17,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import minimum_spanning_tree
 from scipy.spatial import Delaunay
 
-from .world import TAG_NAMES, Location, MapGraph, bearing_deg
+from .world import TAG_NAMES, Location, MapGraph, bearing_deg, check_whole
 
 LAYOUTS = ("grid", "random-planar")
 
@@ -63,16 +63,13 @@ class SyntheticWorldConfig:
     def __post_init__(self):
         if self.layout not in LAYOUTS:
             raise ValueError(f"unknown layout {self.layout!r}; expected one of {LAYOUTS}")
-        if self.node_count < 2:
-            raise ValueError(f"node_count must be >= 2, got {self.node_count}")
-        if not self.spacing > 0:
-            raise ValueError(f"spacing must be positive, got {self.spacing}")
+        check_whole("node_count", self.node_count, 2)
+        if not 0 < self.spacing < math.inf:
+            raise ValueError(f"spacing must be positive and finite, got {self.spacing}")
         if not 0.0 <= self.edge_drop_prob < 1.0:
             raise ValueError(f"edge_drop_prob must be in [0, 1), got {self.edge_drop_prob}")
-        if self.latent_dim < 1:
-            raise ValueError(f"latent_dim must be >= 1, got {self.latent_dim}")
-        if self.block_len < 1:
-            raise ValueError(f"block_len must be >= 1, got {self.block_len}")
+        check_whole("latent_dim", self.latent_dim, 1)
+        check_whole("block_len", self.block_len, 1)
         unknown = set(self.tag_densities) - set(TAG_NAMES)
         if unknown:
             raise ValueError(f"unknown tags in tag_densities: {sorted(unknown)}")

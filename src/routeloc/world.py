@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from numbers import Integral
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -38,6 +39,12 @@ class GraphFormatError(ValueError):
 
 class GraphInvariantError(ValueError):
     """Raised when a graph violates a structural invariant; names the offending id."""
+
+
+def check_whole(name: str, value, least: int) -> None:
+    """Raise ValueError unless ``value`` is a whole number (not a bool) of at least ``least``."""
+    if isinstance(value, bool) or not isinstance(value, Integral) or value < least:
+        raise ValueError(f"{name} must be a whole number >= {least}, got {value!r}")
 
 
 def rows_in(sorted_ids: np.ndarray, ids, error: type[Exception]) -> np.ndarray:
@@ -103,8 +110,6 @@ class MapGraph:
         self._locs = dict(sorted(locs.items()))
         self.spacing = self._mean_edge_length()
         self._index_built = False
-        # Route trees derived from this graph (see localizer.route_tree).
-        self._route_trees = {}
         self.validate()
 
     # ------------------------------------------------------------------
@@ -241,6 +246,12 @@ class MapGraph:
         """Padded adjacency in row indices, ascending, shape (N, max_degree); -1 pads."""
         self._build_index()
         return self._nbr
+
+    @property
+    def tag_matrix(self) -> np.ndarray:
+        """Tag flags by row, shape (N, len(TAG_NAMES)), columns in TAG_NAMES order."""
+        self._build_index()
+        return self._tags
 
     def rows_of(self, loc_ids) -> np.ndarray:
         """Row indices of an array of ids, same shape (raises on unknown ids)."""

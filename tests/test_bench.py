@@ -84,6 +84,10 @@ class TestConfigs:
             (dict(route_count=0), "route_count"),
             (dict(max_length=3, success_window=5), "must be >="),
             (dict(success_window=0), "success_window"),
+            (dict(route_count=2.5), "route_count"),
+            (dict(max_length=10.5), "max_length"),
+            (dict(success_window=2.5), "success_window"),
+            (dict(route_count=True), "route_count"),
         ],
     )
     def test_experiment_validation(self, kwargs, msg):
@@ -91,6 +95,11 @@ class TestConfigs:
         base.update(kwargs)
         with pytest.raises(ValueError, match=msg):
             ExperimentConfig(**base)
+
+    def test_accepts_numpy_integers(self):
+        cfg = ExperimentConfig(world=WORLD, route_count=np.int64(3), max_length=np.int32(6),
+                               success_window=np.int64(5))
+        assert (cfg.route_count, cfg.max_length, cfg.success_window) == (3, 6, 5)
 
     def test_unknown_exclusion_fails_before_training(self):
         # A misspelt tag fails at the config, before any training or simulation.

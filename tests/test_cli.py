@@ -74,6 +74,11 @@ class TestWorldCommands:
         assert ret == 2
         assert "error[config]:" in capsys.readouterr().err
 
+    def test_gen_rejects_infinite_spacing(self, tmp_path, capsys):
+        ret = main(["world", "gen", "--nodes", "9", "--spacing", "inf", "--out", str(tmp_path)])
+        assert ret == 2
+        assert "error[config]: spacing must be positive and finite" in capsys.readouterr().err
+
 
 class TestEmbedCommands:
     def test_train_artifact(self, pipeline):

@@ -15,6 +15,10 @@ object's attribute shares counts as used even when nothing calls it.
 ``Encoder.latent_dim`` (read by ``encode_batch``) would still pass if only
 ``WorldViews.latent_dim`` were read, so such a method has to be found by
 hand.
+
+No module reads another module's private names either: ``x._name`` in the
+package is flagged when ``_name`` is defined or assigned only in some other
+module, so each module reaches another only through its public names.
 """
 import ast
 from pathlib import Path
@@ -91,3 +95,27 @@ def test_no_method_or_property_is_unused():
               and not (node.name.startswith("__") and node.name.endswith("__"))
               and node.name not in attrs]
     assert not unused, "methods never used outside unit tests: " + ", ".join(unused)
+
+
+def _private_names(tree: ast.AST) -> set:
+    """Private names ``tree`` defines or assigns: functions, classes, variables, attributes."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            names.add(node.attr)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+    return {n for n in names if n.startswith("_") and not n.endswith("__")}
+
+
+def test_no_module_reads_another_modules_private_names():
+    modules, _ = _program()
+    own = {name: _private_names(tree) for name, tree in modules.items()}
+    reads = [f"{name}:{node.lineno} .{node.attr}"
+             for name, tree in modules.items()
+             for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr not in own[name]
+             and any(node.attr in names for other, names in own.items() if other != name)]
+    assert not reads, "private names read from another module: " + ", ".join(reads)

@@ -268,11 +268,16 @@ class TestLossConfig:
             (dict(lambdas=(1.0, math.nan, 1.0, 1.0)), "lambdas"),
             (dict(lambdas=(1.0, 1.0, math.inf, 1.0)), "lambdas"),
             (dict(dim=0), "dim"),
+            (dict(dim=2.5), "dim"),
+            (dict(dim=True), "dim"),
         ],
     )
     def test_rejects_invalid(self, kwargs, match):
         with pytest.raises(ValueError, match=match):
             LossConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        assert LossConfig(dim=np.int64(8)).dim == 8
 
 
 class TestEncode:

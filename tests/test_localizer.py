@@ -86,6 +86,15 @@ def lockstep_searches(draw):
     return g, store, queries, patterns
 
 
+@st.composite
+def fuzzed_graphs(draw):
+    """A tie-heavy search's graph, or a block_len-1 lattice, where every location is a junction."""
+    if draw(st.booleans()):
+        return draw(tie_heavy_searches())[0]
+    return generate_synthetic_world(SyntheticWorldConfig(
+        node_count=draw(st.integers(4, 36)), seed=draw(st.integers(0, 99)), block_len=1))
+
+
 search_configs = st.builds(
     LocalizerConfig,
     cull_fraction=st.sampled_from([0.0, 0.3, 0.6]),
@@ -141,13 +150,17 @@ def mixed_chain(g, store, queries, cfg, patterns, exclusions, plain, cached=True
 
 
 def level_routes(tree, m):
-    """(n, m) graph rows of ``tree.levels[m]``'s routes, walked back through the levels."""
+    """(n, m) graph rows of ``tree.levels[m]``'s routes, walked back through the levels.
+
+    Each level's counts alone give every route's position in the level
+    before it, so this does not read the tree's parents.
+    """
     pos = np.arange(len(tree.levels[m][0]))
     path = []
     for t in range(m, 0, -1):
-        child, src, _ = tree.levels[t]
+        child, _, counts = tree.levels[t]
         path.append(tree.row[child[pos]])
-        pos = src[pos]
+        pos = np.repeat(np.arange(len(counts)), counts)[pos]
     return np.array(path[::-1]).T
 
 
@@ -568,6 +581,44 @@ class TestRouteTree:
                       excl if same_tree else () if exclude else ("tunnel",))
         assert run_chain(g, store, q, cfg, turns, excl).ranked() == want
 
+    @given(fuzzed_graphs(), st.integers(1, 5), search_configs, maybe_turns)
+    @settings(max_examples=60, deadline=None)
+    def test_every_node_records_its_parent(self, g, length, cfg, with_turns):
+        costs = np.random.default_rng(length).integers(0, 3, (length, len(g))).astype(float)
+        # A culled or turn-filtered search expands some nodes; a complete one fills the levels.
+        for search in (cfg, LocalizerConfig()):
+            state = start_candidates(g, costs[0], (), search)
+            for i in range(1, length):
+                bit = i % 2 if with_turns and search is cfg else None
+                state = advance_candidates(state, costs[i], bit, search)
+        tree = state.tree
+        assert (tree.parent[:tree.roots] == -1).all()
+        expanded = np.flatnonzero(tree.first[:tree.size] >= 0)
+        counts = tree.count[expanded].astype(np.int64)
+        children = np.concatenate([np.arange(0)] + [np.arange(f, f + c) for f, c in
+                                                    zip(tree.first[expanded], counts)])
+        # Every expanded node's children name it as their parent, and every
+        # other node is one such child.
+        assert np.array_equal(tree.parent[children], np.repeat(expanded, counts))
+        assert np.array_equal(np.sort(children), np.arange(tree.roots, tree.size))
+        for m, (child, _, _) in tree.levels.items():
+            assert np.array_equal(tree.walks(child, m), level_routes(tree, m).T)
+
+    @pytest.mark.parametrize("cfg,bit", [(LocalizerConfig(cull_fraction=0.5, cull_floor=2), None),
+                                         (LocalizerConfig(), 0)])
+    def test_a_state_holds_only_its_frontier(self, cfg, bit):
+        g = generate_synthetic_world(SyntheticWorldConfig(node_count=30, seed=37))
+        costs = np.random.default_rng(27).normal(0, 1, (3, len(g)))
+        earlier = advance_candidates(start_candidates(g, costs[0], (), cfg), costs[1], bit, cfg)
+        # Culled or turn-filtered, so its frontier is not one of the tree's levels.
+        assert not earlier.complete
+        frontier = weakref.ref(earlier._nodes)
+        state = advance_candidates(earlier, costs[2], bit, cfg)
+        del earlier
+        gc.collect()
+        assert frontier() is None
+        assert len(state.top(3)) == 3
+
     def test_one_tree_per_exclusion_set(self, tee_graph):
         costs = np.zeros(4)
         tree = start_candidates(tee_graph, costs).tree
@@ -577,7 +628,7 @@ class TestRouteTree:
         assert start_candidates(tee_graph, costs, ("tunnel",)).tree is not tree
         assert start_candidates(tee_graph, costs, ["tunnel", "tunnel"]).tree is \
             start_candidates(tee_graph, costs, ("tunnel",)).tree
-        assert set(tee_graph._route_trees) == {frozenset(), frozenset({"tunnel"})}
+        assert set(localizer._route_trees[tee_graph]) == {frozenset(), frozenset({"tunnel"})}
 
     def test_graph_and_tree_are_freed_with_the_last_reference(self):
         g = generate_synthetic_world(SyntheticWorldConfig(node_count=30, seed=34))
@@ -601,18 +652,23 @@ class TestLevels:
         g = generate_synthetic_world(SyntheticWorldConfig(node_count=30, seed=36))
         store = make_store(g, seed=25)
         q = np.random.default_rng(26).normal(0, 1, (5, DIM))
-        state = run_chain(g, store, q, LocalizerConfig())
-        tree = state.tree
-        assert state.complete and sorted(tree.levels) == [1, 2, 3, 4, 5]
-        for m, (nodes, src) in enumerate(state._steps, 1):
-            child, parent, rows = tree.levels[m]
-            assert child is nodes and parent is src
-            assert np.array_equal(rows, tree.row[nodes])
+        states = lockstep_chain(g, store, [q], LocalizerConfig())
+        tree = states[-1].tree
+        assert all(s.complete for s in states) and sorted(tree.levels) == [1, 2, 3, 4, 5]
+        for m, state in enumerate(states, 1):
+            child, rows, counts = tree.levels[m]
+            assert state._nodes is child
+            assert np.array_equal(rows, tree.row[child])
+            # One count per route of the level before: the empty route's for m = 1.
+            before = tree.levels[m - 1][0] if m > 1 else np.arange(1)
+            assert len(counts) == len(before) and counts.sum() == len(child)
+            if m > 1:
+                assert np.array_equal(counts, tree.count[before])
             assert {tuple(r) for r in g.id_array[level_routes(tree, m)].tolist()} == \
                 enumerate_routes(g, m)
         # A later complete search steps over the same arrays.
-        again = run_chain(g, store, q[::-1], LocalizerConfig())
-        assert all(a[0] is b[0] and a[1] is b[1] for a, b in zip(again._steps, state._steps))
+        again = lockstep_chain(g, store, [q[::-1]], LocalizerConfig())
+        assert all(a._nodes is b._nodes for a, b in zip(again, states))
 
     @given(lockstep_searches(), search_configs, st.booleans(), st.integers(0, 4),
            st.booleans(), maybe_turns)
@@ -646,7 +702,7 @@ class TestLevels:
         cached = mixed_chain(g, store, queries, cfg, patterns, excl, plain)
         fresh = MapGraph(list(g.locations()))
         uncached = mixed_chain(fresh, store, queries, cfg, patterns, excl, plain, cached=False)
-        assert len(fresh._route_trees[frozenset(excl)].levels) == 1
+        assert len(localizer._route_trees[fresh][frozenset(excl)].levels) == 1
         for a, b in zip(cached, uncached):
             assert list(a.sizes) == list(b.sizes)
             for q in range(len(queries)):

@@ -165,6 +165,12 @@ class TestPrecisionRecall:
         with pytest.raises(ValueError):
             precision_recall_curve(m, u, ts)
 
+    @pytest.mark.parametrize("m,u,ts", [([math.nan], [1.0], [1.0]), ([1.0], [math.inf], [1.0]),
+                                        ([1.0], [1.0], [math.nan]), ([1.0], [1.0], [math.inf])])
+    def test_rejects_non_finite(self, m, u, ts):
+        with pytest.raises(ValueError, match="finite"):
+            precision_recall_curve(m, u, ts)
+
     def test_write_csv(self, tmp_path):
         curve = precision_recall_curve([1.0], [2.0], [1.5])
         path = tmp_path / "pr.csv"
@@ -195,6 +201,12 @@ class TestDistanceHistograms:
     def test_validation(self, m, u, bins):
         with pytest.raises(ValueError):
             distance_histograms(m, u, bin_count=bins)
+
+    @pytest.mark.parametrize("m,u", [([math.inf], [2.0]), ([1.0], [math.nan]),
+                                     ([1.0], [-math.inf])])
+    def test_rejects_non_finite(self, m, u):
+        with pytest.raises(ValueError, match="finite"):
+            distance_histograms(m, u)
 
     def test_write_csv(self, tmp_path):
         hist = distance_histograms([0.5, 1.5], [1.5], bin_count=2)

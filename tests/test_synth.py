@@ -38,11 +38,22 @@ class TestConfigValidation:
             (dict(block_len=0), "block_len"),
             (dict(tag_densities={"bridge": 0.5}), "unknown tags"),
             (dict(tag_densities={"tunnel": 1.5}), "tag density"),
+            (dict(node_count=60.5), "node_count"),
+            (dict(latent_dim=2.5), "latent_dim"),
+            (dict(block_len=2.5), "block_len"),
+            (dict(node_count=True), "node_count"),
+            (dict(spacing=float("inf")), "spacing"),
+            (dict(spacing=float("nan")), "spacing"),
         ],
     )
     def test_rejects(self, kwargs, fragment):
         with pytest.raises(ValueError, match=fragment):
             SyntheticWorldConfig(**kwargs)
+
+    def test_accepts_numpy_integers(self):
+        cfg = SyntheticWorldConfig(node_count=np.int64(30), latent_dim=np.int32(4),
+                                   block_len=np.int64(2))
+        assert len(generate_synthetic_world(cfg)) == 30
 
 
 class TestGridLayout:
