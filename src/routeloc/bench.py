@@ -30,6 +30,7 @@ from .embedding import (
     Encoder,
     LossConfig,
     WorldViews,
+    check_schedule,
     encode_batch,
     train_encoders,
 )
@@ -58,6 +59,9 @@ class TrainParams:
 
     epochs: int = 10
     lr: float = 0.2
+
+    def __post_init__(self):
+        check_schedule(self.epochs, self.lr)
 
 
 @dataclass

@@ -34,6 +34,10 @@ class TrainingDiverged(RuntimeError):
     """Raised when a training step produces a non-finite loss or gradient."""
 
 
+class _NormOverflow(ValueError):
+    """Raised when a vector's norm overflows, so it cannot be normalized."""
+
+
 # ----------------------------------------------------------------------
 # descriptor primitives
 # ----------------------------------------------------------------------
@@ -332,7 +336,7 @@ def _normalized(raw, scale):
     with np.errstate(over="ignore"):
         norms = np.linalg.norm(raw, axis=-1, keepdims=True)
     if np.isinf(norms).any():
-        raise ValueError("cannot normalize a vector whose norm overflows")
+        raise _NormOverflow("cannot normalize a vector whose norm overflows")
     if np.any(norms <= _EPS):
         raise ValueError("cannot normalize a zero vector")
     return scale * raw / norms, norms
@@ -358,6 +362,13 @@ def _backward(g_emb, emb, norms, latents, scale):
 # ----------------------------------------------------------------------
 
 
+def check_schedule(epochs, lr) -> None:
+    """Raise ValueError unless ``epochs`` is a whole number >= 1 and ``lr`` finite and >= 0."""
+    check_whole("epochs", epochs, 1)
+    if not 0.0 <= lr < math.inf:
+        raise ValueError(f"lr must be finite and >= 0, got {lr}")
+
+
 def train_encoders(g: MapGraph, cfg: LossConfig, aug: AugmentationConfig,
                    epochs: int = 10, lr: float = 0.2, seed: int = 0, *,
                    n_b: int = DEFAULT_BATCH_LOCATIONS, k: int = DEFAULT_AUGMENTATIONS,
@@ -368,15 +379,15 @@ def train_encoders(g: MapGraph, cfg: LossConfig, aug: AugmentationConfig,
     Each epoch replays the same deterministic batch schedule (shuffle and
     augmentation draws are reseeded per epoch), so runs are reproducible and
     a zero learning rate leaves both the encoders and the per-epoch loss
-    unchanged.  Raises TrainingDiverged on a non-finite loss.
+    unchanged.  Raises TrainingDiverged on a non-finite loss, or when an
+    encoder's output grows past the float range.
 
     Returns (g_enc, f_enc), or (g_enc, f_enc, epoch_losses) when
     ``return_history`` is set.
     """
-    if epochs < 1:
-        raise ValueError(f"epochs must be >= 1, got {epochs}")
-    if n_b < 2:
-        raise ValueError(f"n_b must be >= 2, got {n_b}")
+    check_schedule(epochs, lr)
+    check_whole("n_b", n_b, 2)
+    check_whole("k", k, 1)
     if views is None:
         views = WorldViews.from_graph(g)
     rows = np.arange(len(views.ids)) if train_rows is None else np.asarray(train_rows)
@@ -396,7 +407,12 @@ def train_encoders(g: MapGraph, cfg: LossConfig, aug: AugmentationConfig,
         for start in range(0, len(perm) - n_b + 1, n_b):
             chunk = rows[perm[start:start + n_b]]
             batch = build_batch(views, chunk, aug, k=k, rng=erng)
-            loss, grads = batch_loss(batch, g_enc, f_enc, cfg)
+            try:
+                loss, grads = batch_loss(batch, g_enc, f_enc, cfg)
+            except _NormOverflow as exc:
+                raise TrainingDiverged(
+                    f"encoder output overflows at epoch {len(history)}, step {len(losses)}"
+                ) from exc
             if not np.isfinite(loss):
                 raise TrainingDiverged(
                     f"non-finite loss at epoch {len(history)}, step {len(losses)}"

@@ -55,6 +55,7 @@ from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
+from scipy import sparse
 
 from .store import DescriptorStore
 from .world import MapGraph, Route, bearing_turns, check_whole, segment_bearings
@@ -67,6 +68,13 @@ _EXPAND_CHUNK = 4096
 _MAX_FRONTIER = 1 << 21
 # Most nodes a route tree may hold.
 _MAX_TREE_NODES = 1 << 24
+# Most indices one np.take in _take converts to intp at a time.
+_TAKE_BLOCK = 1 << 14
+# _smallest picks k of a segment through a sampled threshold when the
+# segment holds at least _SAMPLE_RATIO * k entries; the sample holds at
+# least _SAMPLE_SIZE * k.
+_SAMPLE_RATIO = 256
+_SAMPLE_SIZE = 64
 
 
 class CandidateBudgetError(ValueError):
@@ -95,10 +103,24 @@ class RouteTree:
     ``parent[i]`` is the node whose route node i extends by one location, -1
     for a root.  ``first[i] < 0`` marks a node not yet expanded.  An expanded
     node's children are nodes ``first[i] .. first[i] + count[i] - 1``: its
-    legal one-location extensions, ascending by row.  ``bit[i]`` is the turn bit
-    of a node's last segment: whether its bearing turns by more than
+    legal one-location extensions, ascending by row.  ``step[i]`` packs how
+    node i arrived at its last location: the top bit is the turn bit of its
+    last segment, set when the bearing turns by more than
     ``DEFAULT_TURN_THRESHOLD`` degrees from the segment before (0 for routes
-    of one or two locations).
+    of one or two locations), and the bits below it are the column of the
+    previous location among ``row[i]``'s neighbors, or the neighbor count
+    for a root.
+
+    A node's children depend only on that arrival edge, except for the
+    locations further back on its route, so the tree is grown from
+    successor tables built once: for each arrival edge, its legal children
+    (every allowed neighbor but the one it came from) with their own
+    ``step``.  A child can repeat the location at route position i only by
+    closing a cycle through positions i .. m, so ``expand`` compares
+    children with earlier positions only once routes are as long as the
+    shortest cycle of the allowed locations, the girth, and then only with
+    the positions a cycle can reach.  The girth is found lazily, only as
+    deep as the expansions need (see ``_cycle_free_lengths``).
 
     ``levels[m]`` is the structural half of the step that builds the
     complete frontier of length m, every route of m locations in
@@ -112,30 +134,86 @@ class RouteTree:
 
     Nothing here depends on a query, and the threshold is fixed, so one tree
     serves every search over the graph with the same exclusion set (see
-    ``route_tree``).  It holds the graph's index arrays but not the graph,
-    so the cache of trees keyed by graph makes no reference cycle.
+    ``route_tree``).  It holds tables derived from the graph but not the
+    graph, so the cache of trees keyed by graph makes no reference cycle.
     """
 
     def __init__(self, g: MapGraph, exclusions: frozenset):
         allowed = g.allowed_mask(exclusions)
         nbr = g.neighbor_rows
-        # Legal next rows of each row, ascending; -1 marks a pad or an excluded row.
-        self.neighbors = np.where(allowed[nbr] & (nbr >= 0), nbr, -1)
-        # bearings[r, j]: bearing of the segment from row r to its j-th neighbor.
-        p, nbr0 = g.position_array, np.where(nbr >= 0, nbr, 0)
-        bearings = segment_bearings(p[:, None], p[nbr0])
-        # turns[r, i, j]: turn bit of going on from r's i-th neighbor to that one's j-th.
-        self.turns = bearing_turns(bearings[:, :, None], bearings[nbr0])
+        n, deg = nbr.shape
+        # Rows, child counts and steps in the narrowest types the graph allows.
+        row_type = np.int16 if n <= 2 ** 15 else np.int32
+        count_type = np.min_scalar_type(deg)
+        step_type = np.min_scalar_type(2 * deg + 1)
+        self.turn_shift = 8 * step_type.itemsize - 1
+        self._slot_mask = (1 << self.turn_shift) - 1
+        # Arrival edge e = r * (deg + 1) + s: at row r from its s-th neighbor,
+        # or from nowhere when s = deg (a root).
+        self._arity = deg + 1
+        # The graph's neighbor pairs (r, j), r's j-th neighbor c, by r and then c;
+        # back[i] is the column of r among c's neighbors, found at the reverse pair.
+        r, j = np.nonzero(nbr >= 0)
+        c = nbr[r, j]
+        back = j[np.searchsorted(r.astype(np.int64) * n + c, c.astype(np.int64) * n + r)]
+        # Each row's legal children, pairs[first[r]:first[r] + fanout[r]], ascending.
+        pairs = np.flatnonzero(allowed[c])
+        fanout = np.bincount(r[pairs], minlength=n)
+        first = np.cumsum(fanout) - fanout
+        # Every arrival edge, ascending by e, and the row it came from (-1 for a root).
+        into = np.column_stack([nbr, np.full(n, -1, dtype=nbr.dtype)])
+        er, es = np.nonzero((into >= 0) | (np.arange(deg + 1) == deg))
+        came = into[er, es]
+        # The tables: each edge's children are its row's legal children but the
+        # one it came from.  src and at are each entry's edge and neighbor pair.
+        per = fanout[er]
+        src = np.repeat(np.arange(len(er)), per)
+        at = pairs[np.arange(len(src)) + np.repeat(first[er] - (np.cumsum(per) - per), per)]
+        keep = j[at] != es[src]
+        src, at = src[keep], at[keep]
+        self._edge_count = np.zeros(n * self._arity, dtype=count_type)
+        self._edge_count[er * self._arity + es] = np.bincount(src, minlength=len(er))
+        self._edge_first = np.cumsum(self._edge_count, dtype=np.int64) - self._edge_count
+        self._succ_row = c[at].astype(row_type)
+        # Turn bits on the operands of segment_bearings(p[prev], p[r]) and
+        # segment_bearings(p[r], p[next]); none after a root.
+        p, turned = g.position_array, came[src] >= 0
+        prev, here, ahead = came[src][turned], er[src][turned], c[at][turned]
+        turn = np.zeros(len(src), dtype=step_type)
+        turn[turned] = bearing_turns(segment_bearings(p[prev], p[here]),
+                                     segment_bearings(p[here], p[ahead]))
+        self._succ_step = (turn << self.turn_shift) | back[at].astype(step_type)
         roots = np.nonzero(allowed)[0]
         self.roots = self.size = len(roots)
-        # Rows and child counts in the narrowest type the graph allows.
-        self.row = roots.astype(np.int16 if len(g) <= 2 ** 15 else np.int32)
+        self.row = roots.astype(row_type)
         self.parent = np.full(self.size, -1, dtype=np.int32)
         self.first = np.full(self.size, -1, dtype=np.int32)
-        self.count = np.zeros(self.size, dtype=np.min_scalar_type(nbr.shape[1]))
-        self.bit = np.zeros(self.size, dtype=bool)
+        self.count = np.zeros(self.size, dtype=count_type)
+        self.step = np.full(self.size, deg, dtype=step_type)
         self.levels = {1: (np.arange(self.roots, dtype=np.int32), self.row.copy(),
                            np.array([self.roots]))}
+        # hops[e, f]: a route that arrived by edge e can go on by edge f, over
+        # the edges a route can arrive by (between allowed rows), numbered in order.
+        usable = (came >= 0) & allowed[er] & allowed[came]
+        number = np.cumsum(usable, dtype=np.int32) - 1
+        hop = usable[src]
+        onward = np.searchsorted(er * self._arity + es,
+                                 (c[at].astype(np.intp) * self._arity + back[at])[hop])
+        edges = int(np.count_nonzero(usable))
+        hops = sparse.csr_array((np.ones(len(onward), dtype=bool),
+                                 (number[src[hop]], number[onward])), shape=(edges, edges))
+        # A location is never its own neighbor, and a route never turns back.
+        self._girth_bound = 3
+        self._cycle_free = _cycle_free_lengths(hops)
+
+    def girth(self, m: int) -> int:
+        """A lower bound on the girth that is exact when the girth is at most m."""
+        while self._girth_bound <= m:
+            k = next(self._cycle_free, None)
+            if k is None:
+                break
+            self._girth_bound = k + 1
+        return self._girth_bound
 
     def walks(self, nodes: np.ndarray, m: int) -> np.ndarray:
         """(m, len(nodes)) graph rows of the routes of m locations that end at ``nodes``."""
@@ -147,32 +225,38 @@ class RouteTree:
 
     def expand(self, nodes: np.ndarray, m: int) -> None:
         """Append the children of ``nodes``, whose routes have m locations."""
-        walks = self.walks(nodes, m)
-        last = walks[-1]
-        nbr = self.neighbors[last]
-        ok = nbr >= 0
-        for step in walks[:-1]:   # a location is never its own neighbor
-            ok &= nbr != step[:, None]
-        counts = ok.sum(axis=1)
-        start, end = self.size, self.size + int(counts.sum())
+        edge = self.row[nodes].astype(np.intp) * self._arity + (self.step[nodes] & self._slot_mask)
+        counts = self._edge_count[edge]
+        starts = np.cumsum(counts, dtype=np.int64) - counts
+        # entry[c]: child c's place in the tables, its edge's block in order.
+        entry = (np.arange(int(counts.sum()))
+                 + np.repeat(self._edge_first[edge] - starts, counts))
+        rows, steps = self._succ_row[entry], self._succ_step[entry]
+        parent = np.repeat(nodes, counts)
+        # The new location is position m + 1; it can equal position i only by
+        # closing a cycle of m + 1 - i edges.
+        reach = m + 1 - self.girth(m)
+        if reach > 0:
+            at = np.repeat(np.arange(len(nodes)), counts)
+            ok = np.ones(len(rows), dtype=bool)
+            for past in self.walks(nodes, m)[:reach]:
+                ok &= rows != past[at]
+            rows, steps, parent = rows[ok], steps[ok], parent[ok]
+            counts = np.bincount(at[ok], minlength=len(nodes))
+            starts = np.cumsum(counts) - counts
+        start, end = self.size, self.size + len(rows)
         if end > _MAX_TREE_NODES:
             raise CandidateBudgetError(
                 f"the route tree would grow to {end} nodes, past the budget of "
                 f"{_MAX_TREE_NODES}; cull harder or search shorter routes")
         self._reserve(end)
-        self.first[nodes] = start + np.cumsum(counts) - counts
+        self.first[nodes] = start + starts
         self.count[nodes] = counts
         self.size = end
-        self.row[start:end] = nbr[ok]
-        self.parent[start:end] = np.repeat(nodes, counts)
+        self.row[start:end] = rows
+        self.parent[start:end] = parent
         self.first[start:end] = -1
-        if m == 1:
-            self.bit[start:end] = False                     # the first step carries no turn
-        else:
-            # Where last sits among prev's neighbors: adjacency is symmetric.
-            prev = walks[-2]
-            into = (self.neighbors[prev] == last[:, None]).argmax(axis=1)
-            self.bit[start:end] = self.turns[prev, into][ok]
+        self.step[start:end] = steps
 
     def _reserve(self, n: int) -> None:
         """Make room for n nodes, doubling capacity up to the node budget.
@@ -184,12 +268,37 @@ class RouteTree:
         if n <= len(self.first):
             return
         cap = min(max(n, 2 * len(self.first)), _MAX_TREE_NODES)
-        for name in ("row", "parent", "first", "count", "bit"):
+        for name in ("row", "parent", "first", "count", "step"):
             old = getattr(self, name)
             new = np.empty(cap, dtype=old.dtype)
             new[:self.size] = old[:self.size]
             setattr(self, name, new)
             del old, new
+
+
+def _cycle_free_lengths(hops):
+    """Yield k = 3, 4, ... while the graph has no cycle of k or fewer edges.
+
+    ``hops`` is the graph's boolean non-backtracking matrix over directed
+    edges: entry (e, f) is set when a walk may go on from e to f without
+    turning back.  A cycle of k edges is a closed walk of k hops, and every
+    closed walk of k hops holds a cycle of at most k edges, so the girth is
+    the first k at which hops^k has a set diagonal entry.  That diagonal is
+    read as the overlap of hops^a and the transpose of hops^(k - a), with a
+    = ceil(k / 2), so the powers go only half as deep as k, and only the
+    last two are kept.
+    """
+    powers = {1: hops, 2: hops @ hops}
+    k = 3
+    while True:
+        a = (k + 1) // 2
+        if a not in powers:
+            powers[a] = powers[a - 1] @ hops
+            del powers[a - 2]
+        if powers[a].multiply(powers[k - a].T).count_nonzero():
+            return
+        yield k
+        k += 1
 
 
 # Route trees by graph, then by exclusion set; an entry goes with its graph.
@@ -329,11 +438,14 @@ def advance_candidates(state: CandidateSet, costs, next_turn_bit=None,
     child, rows, counts, bounds = _children(state)
     dists = np.repeat(state._dists, counts)
     if next_turn_bit is not None:
-        keep = np.flatnonzero(state.tree.bit[child] == _per_candidate(bits, bounds))
+        turned = _take(state.tree.step, child) >> state.tree.turn_shift
+        keep = np.flatnonzero(turned == _per_candidate(bits, bounds))
         child, rows, dists = child[keep], rows[keep], dists[keep]
         bounds = np.searchsorted(keep, bounds)
-    query = _per_candidate(np.arange(state.queries), bounds)
-    dists += costs[query, rows]
+    if state.queries > 1:
+        # Flat positions in the (Q, N) table: query q's row starts at q * N.
+        rows = _per_candidate(np.arange(state.queries) * costs.shape[1], bounds) + rows
+    _take(costs.ravel(), rows, dists)
     keep = _survivors(dists, bounds, cfg)
     if keep is not None:
         child, dists = child[keep], dists[keep]
@@ -476,6 +588,19 @@ def _per_candidate(values: np.ndarray, bounds: np.ndarray):
     return values[0] if len(bounds) == 2 else np.repeat(values, bounds[1:] - bounds[:-1])
 
 
+def _take(values: np.ndarray, index: np.ndarray, add_to: np.ndarray | None = None):
+    """``values[index]`` for 1-D ``values``, or ``add_to`` plus that, summed in place.
+
+    Gathered in blocks of _TAKE_BLOCK: np.take copies its index to intp
+    before it gathers, and in blocks that copy stays small, as does the
+    gather itself when it is added to ``add_to``.
+    """
+    out = np.zeros(len(index), dtype=values.dtype) if add_to is None else add_to
+    for i in range(0, len(index), _TAKE_BLOCK):
+        out[i:i + _TAKE_BLOCK] += np.take(values, index[i:i + _TAKE_BLOCK])
+    return out
+
+
 def _smallest(dists: np.ndarray, bounds: np.ndarray, keep: list):
     """Ascending positions of the keep[q] smallest distances of each segment q.
 
@@ -488,11 +613,22 @@ def _smallest(dists: np.ndarray, bounds: np.ndarray, keep: list):
     if not cut:
         return None
     # The keep-th smallest distance of each cut segment.  A segment kept
-    # whole gets inf: its finite distances fall below it, an infinite one ties.
+    # whole gets inf: its finite distances fall below it, an infinite one
+    # ties.  A segment picked by a sampled threshold gets -inf: the mask
+    # keeps none of it, and its picks are added after.
     boundary = np.full(len(keep), np.inf)
+    picked = {}
     for q in cut:
-        k = keep[q]
-        boundary[q] = np.partition(dists[starts[q]:starts[q + 1]], k - 1)[k - 1] if k else -np.inf
+        k, seg = keep[q], dists[starts[q]:starts[q + 1]]
+        pick = _sampled_smallest(seg, k) if len(seg) >= _SAMPLE_RATIO * k > 0 else None
+        if pick is not None:
+            picked[q] = starts[q] + pick
+            boundary[q] = -np.inf
+        else:
+            boundary[q] = np.partition(seg, k - 1)[k - 1] if k else -np.inf
+    if len(picked) == len(cut):
+        return np.concatenate([picked[q] if q in picked else np.arange(lo, hi)
+                               for q, (lo, hi) in enumerate(zip(starts, starts[1:]))])
     edge = _per_candidate(boundary, bounds)
     mask = dists < edge
     ties = np.nonzero(dists == edge)[0]
@@ -503,7 +639,29 @@ def _smallest(dists: np.ndarray, bounds: np.ndarray, keep: list):
         if at[q] < at[q + 1]:
             room = keep[q] - np.count_nonzero(mask[starts[q]:starts[q + 1]])
             mask[ties[at[q]:at[q] + room]] = True
+    for pick in picked.values():
+        mask[pick] = True
     return np.nonzero(mask)[0]
+
+
+def _sampled_smallest(seg: np.ndarray, k: int):
+    """Ascending positions of the k smallest entries of ``seg``, ties to the earlier.
+
+    The k-th smallest t of a strided sample is at least the k-th smallest of
+    the whole segment, so only entries up to t are partitioned.  Returns
+    None when most of the sample is up to t (say, all entries are equal),
+    where this would save nothing.
+    """
+    sample = seg[::len(seg) // (_SAMPLE_SIZE * k)]
+    t = np.partition(sample, k - 1)[k - 1]
+    if 2 * np.count_nonzero(sample <= t) > len(sample):
+        return None
+    pos = np.flatnonzero(seg <= t)
+    sub = seg[pos]
+    edge = np.partition(sub, k - 1)[k - 1]
+    keep = sub < edge
+    keep[np.flatnonzero(sub == edge)[:k - np.count_nonzero(keep)]] = True
+    return pos[keep]
 
 
 def _check_costs(g: MapGraph, costs, queries: int | None = None) -> np.ndarray:

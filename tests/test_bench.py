@@ -96,6 +96,24 @@ class TestConfigs:
         with pytest.raises(ValueError, match=msg):
             ExperimentConfig(**base)
 
+    @pytest.mark.parametrize("kwargs,msg", [
+        (dict(epochs=0), "epochs"),
+        (dict(epochs=2.5), "epochs"),
+        (dict(epochs=True), "epochs"),
+        (dict(lr=float("nan")), "lr"),
+        (dict(lr=float("inf")), "lr"),
+        (dict(lr=-1.0), "lr"),
+    ])
+    def test_train_params_validation(self, kwargs, msg):
+        with pytest.raises(ValueError, match=msg):
+            TrainParams(**kwargs)
+        # A bad schedule never reaches an experiment.
+        with pytest.raises(ValueError, match=msg):
+            ExperimentConfig(world=WORLD, train=TrainParams(**kwargs))
+
+    def test_train_params_accept_zero_rate_and_numpy_integers(self):
+        assert TrainParams(epochs=np.int64(2), lr=0.0) == TrainParams(epochs=2, lr=0.0)
+
     def test_accepts_numpy_integers(self):
         cfg = ExperimentConfig(world=WORLD, route_count=np.int64(3), max_length=np.int32(6),
                                success_window=np.int64(5))

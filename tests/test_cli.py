@@ -6,7 +6,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from routeloc import localizer, retrieval
+from routeloc import embedding, localizer, retrieval
 from routeloc import (
     DescriptorStore,
     WorldViews,
@@ -135,6 +135,32 @@ class TestEmbedCommands:
                     "--out", str(tmp_path / "out")])
         assert ret == 2
         assert f"error[config]: {name} must be" in capsys.readouterr().err
+
+
+    def test_overflowing_rate_is_a_training_error(self, pipeline, tmp_path, capsys):
+        ret = main(["embed", "train", "--graph", str(pipeline["graph"]), "--lr", "1e300",
+                    "--epochs", "1", "--out", str(tmp_path / "out")])
+        assert ret == 2
+        assert "error[training]: encoder output overflows at epoch 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-1"])
+    def test_train_rejects_bad_rate_up_front(self, pipeline, tmp_path, capsys, value):
+        with mock.patch.object(embedding, "batch_loss") as step:
+            ret = main(["embed", "train", "--graph", str(pipeline["graph"]), "--lr", value,
+                        "--out", str(tmp_path / "out")])
+        assert ret == 2
+        assert "error[config]: lr must be finite and >= 0" in capsys.readouterr().err
+        step.assert_not_called()
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["embed", "bench"])
+    def test_rejects_zero_epochs(self, pipeline, tmp_path, capsys, command):
+        args = (["embed", "train"] if command == "embed"
+                else ["bench", "sweep", "--methods", "ES"])
+        ret = main(args + ["--graph", str(pipeline["graph"]), "--epochs", "0",
+                           "--out", str(tmp_path / "out")])
+        assert ret == 2
+        assert "error[config]: epochs must be a whole number >= 1" in capsys.readouterr().err
 
 
 class TestEvalCommands:

@@ -7,6 +7,7 @@ finite differences.
 """
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -582,6 +583,28 @@ class TestTraining:
         with pytest.raises(TrainingDiverged, match="non-finite loss"):
             train_encoders(world, LossConfig(), AugmentationConfig(), epochs=1,
                            lr=0.2, seed=1, views=views)
+
+    def test_overflowing_encoder_is_divergence(self, world):
+        # A huge step leaves finite weights whose outputs overflow the norm.
+        with pytest.raises(TrainingDiverged, match="overflows at epoch 0, step 1") as err:
+            train_encoders(world, LossConfig(), AugmentationConfig(), epochs=1, lr=1e300, seed=1)
+        assert "norm overflows" in str(err.value.__cause__)
+
+    @pytest.mark.parametrize("kwargs,msg", [
+        (dict(epochs=0), "epochs"),
+        (dict(epochs=2.5), "epochs"),
+        (dict(lr=float("nan")), "lr must be finite"),
+        (dict(lr=float("inf")), "lr must be finite"),
+        (dict(lr=-1.0), "lr must be finite and >= 0"),
+        (dict(n_b=2.5), "n_b must be a whole number >= 2"),
+        (dict(k=2.5), "k must be a whole number >= 1"),
+        (dict(k=0), "k must be a whole number >= 1"),
+    ])
+    def test_bad_settings_rejected_before_training(self, world, kwargs, msg):
+        with mock.patch.object(embedding, "batch_loss") as step:
+            with pytest.raises(ValueError, match=msg):
+                train_encoders(world, LossConfig(), AugmentationConfig(), **kwargs)
+        step.assert_not_called()
 
     def test_validation(self, world):
         with pytest.raises(ValueError, match="epochs"):

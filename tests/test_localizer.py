@@ -2,6 +2,7 @@
 import csv
 import dataclasses
 import gc
+import tracemalloc
 import weakref
 from unittest import mock
 
@@ -27,6 +28,7 @@ from routeloc import (
     turn_pattern,
     write_ranked_csv,
 )
+from routeloc.world import bearing_turns, segment_bearings
 
 DIM = 4
 
@@ -88,11 +90,14 @@ def lockstep_searches(draw):
 
 @st.composite
 def fuzzed_graphs(draw):
-    """A tie-heavy search's graph, or a block_len-1 lattice, where every location is a junction."""
-    if draw(st.booleans()):
+    """A tie-heavy search's graph, a block_len-1 lattice, where every location is a
+    junction and the shortest cycle has 4 edges, or a random-planar world."""
+    kind = draw(st.sampled_from(["ties", "lattice", "planar"]))
+    if kind == "ties":
         return draw(tie_heavy_searches())[0]
     return generate_synthetic_world(SyntheticWorldConfig(
-        node_count=draw(st.integers(4, 36)), seed=draw(st.integers(0, 99)), block_len=1))
+        node_count=draw(st.integers(4, 36)), seed=draw(st.integers(0, 99)), block_len=1,
+        layout="grid" if kind == "lattice" else "random-planar"))
 
 
 search_configs = st.builds(
@@ -162,6 +167,91 @@ def level_routes(tree, m):
         path.append(tree.row[child[pos]])
         pos = np.repeat(np.arange(len(counts)), counts)[pos]
     return np.array(path[::-1]).T
+
+
+class ReferenceTree(localizer.RouteTree):
+    """A route tree that tests every route position of each new child.
+
+    Its ``expand`` reads each node's route back and drops neighbors already
+    on it, and takes turn bits from a (row, in-neighbor, out-neighbor)
+    table, with no successor tables and no girth.  Only the turn bit of
+    ``step`` is set.
+    """
+
+    def __init__(self, g, exclusions):
+        super().__init__(g, exclusions)
+        allowed = g.allowed_mask(exclusions)
+        nbr = g.neighbor_rows
+        self.neighbors = np.where(allowed[nbr] & (nbr >= 0), nbr, -1)
+        p, nbr0 = g.position_array, np.where(nbr >= 0, nbr, 0)
+        bearings = segment_bearings(p[:, None], p[nbr0])
+        # turns[r, i, j]: turn bit of going on from r's i-th neighbor to that one's j-th.
+        self.turns = bearing_turns(bearings[:, :, None], bearings[nbr0])
+
+    def expand(self, nodes, m):
+        walks = self.walks(nodes, m)
+        last = walks[-1]
+        nbr = self.neighbors[last]
+        ok = nbr >= 0
+        for step in walks[:-1]:
+            ok &= nbr != step[:, None]
+        counts = ok.sum(axis=1)
+        start, end = self.size, self.size + int(counts.sum())
+        self._reserve(end)
+        self.first[nodes] = start + np.cumsum(counts) - counts
+        self.count[nodes] = counts
+        self.size = end
+        self.row[start:end] = nbr[ok]
+        self.parent[start:end] = np.repeat(nodes, counts)
+        self.first[start:end] = -1
+        bits = np.zeros(end - start, dtype=bool)
+        if m > 1:
+            prev = walks[-2]
+            into = (self.neighbors[prev] == last[:, None]).argmax(axis=1)
+            bits = self.turns[prev, into][ok]
+        self.step[start:end] = bits.astype(self.step.dtype) << self.turn_shift
+
+
+def tree_arrays(tree):
+    """A tree's row, parent, first and turn bits, and counts with unexpanded nodes at 0.
+
+    ``_reserve`` grows the arrays with ``np.empty``, so an unexpanded node's
+    count is whatever the memory held.
+    """
+    n = tree.size
+    expanded = tree.first[:n] >= 0
+    return (tree.row[:n], tree.parent[:n], tree.first[:n],
+            np.where(expanded, tree.count[:n], 0), tree.step[:n] >> tree.turn_shift)
+
+
+def bfs_girth(g, exclusions=()):
+    """Edges in the shortest cycle over the allowed locations (inf with no cycle), by BFS.
+
+    From every root, an edge between two reached locations that is not a
+    BFS tree edge closes a cycle of at most dist + dist + 1 edges, and the
+    shortest cycle is found exactly from any of its locations.
+    """
+    allowed = {loc.id for loc in g.locations() if not loc.tags & frozenset(exclusions)}
+    best = np.inf
+    for root in allowed:
+        dist, parent, queue = {root: 0}, {root: None}, [root]
+        for u in queue:
+            for w in g.neighbors_of(u):
+                if w not in allowed or w == parent[u]:
+                    continue
+                if w in dist:
+                    best = min(best, dist[u] + dist[w] + 1)
+                else:
+                    dist[w], parent[w] = dist[u] + 1, u
+                    queue.append(w)
+    return best
+
+
+def reference_smallest(dists, bounds, keep):
+    """Ascending positions of each segment's keep[q] smallest, by (distance, position)."""
+    parts = [lo + np.sort(np.lexsort((np.arange(hi - lo), dists[lo:hi]))[:k])
+             for lo, hi, k in zip(bounds[:-1], bounds[1:], keep)]
+    return np.concatenate([np.arange(0)] + parts)
 
 
 def turn_filtered(routes, g, turns):
@@ -488,6 +578,12 @@ class TestLockstep:
         assert advance_candidates(one, costs, 1).ranked() == \
             advance_candidates(table, costs[None], [1]).ranked()
 
+    def test_empty_graph(self):
+        g = MapGraph([])
+        state = start_candidates(g, np.zeros((2, 0)))
+        state = advance_candidates(state, np.zeros((2, 0)), [0, 1])
+        assert list(state.sizes) == [0, 0] and state.ranked(q=1) == []
+
     def test_shapes_checked(self, tee_graph):
         state = start_candidates(tee_graph, np.zeros((2, 4)))
         with pytest.raises(ValueError, match="2 row"):
@@ -604,6 +700,100 @@ class TestRouteTree:
         for m, (child, _, _) in tree.levels.items():
             assert np.array_equal(tree.walks(child, m), level_routes(tree, m).T)
 
+    @given(fuzzed_graphs(), st.booleans(), st.integers(2, 9), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=80, deadline=None)
+    def test_tree_equals_one_that_tests_every_position(self, g, exclude, length, seed):
+        excl = frozenset({"tunnel"} if exclude else ())
+        trees = [localizer.RouteTree(g, excl), ReferenceTree(g, excl)]
+        rng = np.random.default_rng(seed)
+        nodes = np.arange(trees[0].roots)
+        for m in range(1, length):
+            # Some nodes stay unexpanded, as in a culled or turn-filtered search.
+            nodes = nodes[rng.random(len(nodes)) < 0.8]
+            before = trees[0].size
+            for tree in trees:
+                tree.expand(nodes, m)
+            nodes = np.arange(before, trees[0].size)
+            if len(nodes) > 5000:
+                break
+        for got, want in zip(tree_arrays(trees[0]), tree_arrays(trees[1])):
+            assert np.array_equal(got, want)
+
+    def test_lattice_routes_past_the_girth(self):
+        # Every location of a block_len-1 lattice closes 4-cycles, so routes of
+        # 5 or more locations must be tested against earlier positions.
+        g = generate_synthetic_world(SyntheticWorldConfig(node_count=36, seed=3, block_len=1))
+        trees = [localizer.RouteTree(g, frozenset()), ReferenceTree(g, frozenset())]
+        for tree in trees:
+            nodes = np.arange(tree.roots)
+            for m in range(1, 9):
+                before = tree.size
+                tree.expand(nodes, m)
+                nodes = np.arange(before, tree.size)
+        assert trees[0].girth(8) == bfs_girth(g) == 4
+        for got, want in zip(tree_arrays(trees[0]), tree_arrays(trees[1])):
+            assert np.array_equal(got, want)
+        assert {tuple(r) for r in g.id_array[trees[0].walks(nodes, 9).T].tolist()} == \
+            enumerate_routes(g, 9)
+
+    @staticmethod
+    def hub_graph(n, hub):
+        """A path of n locations whose first location also joins locations 2 .. hub + 1."""
+        nbrs = {i: {j for j in (i - 1, i + 1) if 0 <= j < n} for i in range(n)}
+        for j in range(2, hub + 2):
+            nbrs[0].add(j)
+            nbrs[j].add(0)
+        return MapGraph([Location(i, (10.0 * i, 10.0 * (i % 7)), 0.0, tuple(sorted(nbrs[i])))
+                         for i in range(n)])
+
+    def test_tables_grow_with_the_degrees_not_the_widest_row(self):
+        # One hub widens the padded neighbor table of every location.
+        small = self.hub_graph(120, 30)
+        trees = [localizer.RouteTree(small, frozenset()), ReferenceTree(small, frozenset())]
+        for tree in trees:
+            nodes = np.arange(tree.roots)
+            for m in range(1, 5):
+                before = tree.size
+                tree.expand(nodes, m)
+                nodes = np.arange(before, tree.size)
+        for got, want in zip(tree_arrays(trees[0]), tree_arrays(trees[1])):
+            assert np.array_equal(got, want)
+        # 2000 locations, one of degree 61: a table per (row, column, column)
+        # would hold 7.4M entries; the successor tables hold about 8k.
+        big = self.hub_graph(2000, 60)
+        big.neighbor_rows
+        tracemalloc.start()
+        try:
+            localizer.RouteTree(big, frozenset())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+
+    @given(fuzzed_graphs(), st.booleans(), st.lists(st.integers(1, 14), min_size=1, max_size=3))
+    @settings(max_examples=80, deadline=None)
+    def test_girth_matches_breadth_first_search(self, g, exclude, depths):
+        excl = ("tunnel",) if exclude else ()
+        tree = localizer.RouteTree(g, frozenset(excl))
+        want = bfs_girth(g, excl)
+        # Asked lazily, deeper each time: exact up to the depth asked, a bound past it.
+        for m in sorted(depths):
+            assert tree.girth(m) == min(want, max(m + 1, 3))
+
+    @pytest.mark.parametrize("graph,exclusions,girth", [
+        ("path_graph", (), np.inf), ("tee_graph", (), np.inf),
+        ("square", (), 4), ("square", ("tunnel",), np.inf)])
+    def test_girth_of_small_graphs(self, request, graph, exclusions, girth):
+        if graph == "square":
+            # 0 - 1 - 2 - 3 - 0, a 4-cycle broken when the tunnel at 2 is excluded.
+            corners = [(0.0, 0.0), (10.0, 0.0), (10.0, 10.0), (0.0, 10.0)]
+            g = MapGraph([Location(i, corners[i], 0.0, ((i - 1) % 4, (i + 1) % 4),
+                                   frozenset({"tunnel"} if i == 2 else ())) for i in range(4)])
+        else:
+            g = request.getfixturevalue(graph)
+        assert bfs_girth(g, exclusions) == girth
+        assert localizer.RouteTree(g, frozenset(exclusions)).girth(10) == min(girth, 11)
+
     @pytest.mark.parametrize("cfg,bit", [(LocalizerConfig(cull_fraction=0.5, cull_floor=2), None),
                                          (LocalizerConfig(), 0)])
     def test_a_state_holds_only_its_frontier(self, cfg, bit):
@@ -709,6 +899,40 @@ class TestLevels:
                 assert a.ranked(q=q) == b.ranked(q=q)
                 assert a.top(2, q) == b.top(2, q)
 
+
+
+class TestSmallest:
+    @given(st.lists(st.tuples(st.integers(0, 2000), st.integers(0, 6)), min_size=1, max_size=4),
+           st.sampled_from(["ties", "equal", "floats"]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=150, deadline=None)
+    def test_equals_a_full_sort(self, segments, kind, seed):
+        rng = np.random.default_rng(seed)
+        bounds = np.concatenate([[0], np.cumsum([n for n, _ in segments])])
+        keep = [min(k, n) for n, k in segments]
+        size = int(bounds[-1])
+        dists = {"ties": rng.integers(0, 4, size).astype(float), "equal": np.full(size, 2.0),
+                 "floats": rng.random(size)}[kind]
+        got = localizer._smallest(dists, bounds, keep)
+        if keep == [n for n, _ in segments]:
+            assert got is None
+        else:
+            assert np.array_equal(got, reference_smallest(dists, bounds, keep))
+
+    def test_large_segments_pick_through_a_sampled_threshold(self):
+        rng = np.random.default_rng(5)
+        dists = rng.integers(0, 60, 30000).astype(float)    # ties at every value
+        bounds = np.array([0, 100, 20000, 30000])
+        keep = [5, 5, 3]
+        with mock.patch.object(localizer, "_sampled_smallest",
+                               wraps=localizer._sampled_smallest) as sampled:
+            got = localizer._smallest(dists, bounds, keep)
+        # The first segment is too small to sample; the other two are sampled.
+        assert sampled.call_count == 2
+        assert np.array_equal(got, reference_smallest(dists, bounds, keep))
+        # All-equal entries give the sample nothing to cut, so the full partition runs.
+        assert localizer._sampled_smallest(np.zeros(5000), 5) is None
+        assert np.array_equal(localizer._smallest(np.zeros(5000), np.array([0, 5000]), [5]),
+                              np.arange(5))
 
 
 class TestCheckSuccess:
