@@ -36,7 +36,7 @@ from .embedding import (
 )
 from .localizer import LocalizerConfig, advance_candidates, check_success, start_candidates
 from .synth import SyntheticWorldConfig, generate_synthetic_world
-from .world import TAG_NAMES, MapGraph, check_whole, load_graph, turn_pattern
+from .world import TAG_NAMES, MapGraph, check_whole, load_graph, turn_pattern, write_csv
 
 METHODS = ("ES", "ES+T", "BSD", "BSD+T", "T-only")
 
@@ -136,13 +136,8 @@ class AccuracyReport:
         return table[length]
 
     def write_csv(self, path) -> None:
-        import csv
-
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["length", "top1", "top5"])
-            for m in self.lengths:
-                w.writerow([m, "%.17g" % self.top1[m], "%.17g" % self.top5[m]])
+        write_csv(path, ["length", "top1", "top5"],
+                  ([m, "%.17g" % self.top1[m], "%.17g" % self.top5[m]] for m in self.lengths))
 
     def write_meta(self, path) -> None:
         payload = {

@@ -319,25 +319,9 @@ def _cmd_localize_run(args):
 
 
 def _cmd_bench_sweep(args):
-    methods = [m for m in args.methods.split(",") if m]
-    for m in methods:
-        if m not in bench_mod.METHODS:
-            raise ValueError(f"unknown method {m!r}; expected one of {bench_mod.METHODS}")
-    g = load_graph(args.graph)
-    views = WorldViews.from_graph(g, seed=args.seed)
-    encoders = None
-    needs_embeddings = any(m in ("ES", "ES+T") for m in methods)
-    if needs_embeddings:
-        aug = AugmentationConfig()
-        g_enc, f_enc = train_encoders(
-            g, LossConfig(), aug, epochs=args.epochs, lr=args.lr, seed=args.seed,
-            views=views,
-        )
-        encoders = (g_enc, f_enc)
-    os.makedirs(args.out, exist_ok=True)
-    written = []
-    for method in methods:
-        cfg = bench_mod.ExperimentConfig(
+    # Every setting is checked before the graph is read or anything trained.
+    configs = [
+        bench_mod.ExperimentConfig(
             world=args.graph,
             method=method,
             route_count=args.routes,
@@ -349,15 +333,28 @@ def _cmd_bench_sweep(args):
             train=bench_mod.TrainParams(epochs=args.epochs, lr=args.lr),
             seed=args.seed,
         )
+        for method in args.methods.split(",") if method
+    ]
+    g = load_graph(args.graph)
+    views = WorldViews.from_graph(g, seed=args.seed)
+    encoders = None
+    if any(cfg.method in ("ES", "ES+T") for cfg in configs):
+        encoders = train_encoders(
+            g, LossConfig(), AugmentationConfig(), epochs=args.epochs, lr=args.lr,
+            seed=args.seed, views=views,
+        )
+    os.makedirs(args.out, exist_ok=True)
+    written = []
+    for cfg in configs:
         report = bench_mod.run_experiment(cfg, graph=g, views=views, encoders=encoders)
-        stem = method.replace("+", "_plus_").replace("-", "_")
+        stem = cfg.method.replace("+", "_plus_").replace("-", "_")
         csv_path = os.path.join(args.out, f"{stem}.csv")
         meta_path = os.path.join(args.out, f"{stem}.json")
         report.write_csv(csv_path)
         report.write_meta(meta_path)
         written.append(csv_path)
         final = report.lengths[-1]
-        print(f"{method}: top1@{final}={report.top1[final]:.3f} "
+        print(f"{cfg.method}: top1@{final}={report.top1[final]:.3f} "
               f"top5@{final}={report.top5[final]:.3f} ({report.meta['runtime_s']}s)")
     print(f"wrote {len(written) * 2} files under {args.out}")
     return 0

@@ -47,7 +47,6 @@ candidates for one query, or a tree past ``_MAX_TREE_NODES`` nodes, raises
 """
 from __future__ import annotations
 
-import csv
 import math
 import weakref
 from dataclasses import dataclass
@@ -58,7 +57,7 @@ import numpy as np
 from scipy import sparse
 
 from .store import DescriptorStore
-from .world import MapGraph, Route, bearing_turns, check_whole, segment_bearings
+from .world import MapGraph, Route, bearing_turns, check_whole, segment_bearings, write_csv
 
 RouteDescriptor = np.ndarray  # (m, dim) query descriptors, one per position
 
@@ -70,9 +69,9 @@ _MAX_FRONTIER = 1 << 21
 _MAX_TREE_NODES = 1 << 24
 # Most indices one np.take in _take converts to intp at a time.
 _TAKE_BLOCK = 1 << 14
-# _smallest picks k of a segment through a sampled threshold when the
-# segment holds at least _SAMPLE_RATIO * k entries; the sample holds at
-# least _SAMPLE_SIZE * k.
+# _smallest bounds the k-th smallest of a segment by a strided sample's
+# when the segment holds at least _SAMPLE_RATIO * k entries; the sample
+# holds at least _SAMPLE_SIZE * k.
 _SAMPLE_RATIO = 256
 _SAMPLE_SIZE = 64
 
@@ -571,11 +570,9 @@ def check_success(estimated: Route, truth: Route, window: int = 5) -> bool:
 
 def write_ranked_csv(path, ranked) -> None:
     """Write a ranked (route, distance) list as rank,distance,ids CSV."""
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        w = csv.writer(fh)
-        w.writerow(["rank", "distance", "route"])
-        for rank, (route, dist) in enumerate(ranked, 1):
-            w.writerow([rank, "%.17g" % dist, ",".join(str(i) for i in route)])
+    write_csv(path, ["rank", "distance", "route"],
+              ([rank, "%.17g" % dist, ",".join(str(i) for i in route)]
+               for rank, (route, dist) in enumerate(ranked, 1)))
 
 
 # ----------------------------------------------------------------------
@@ -612,56 +609,33 @@ def _smallest(dists: np.ndarray, bounds: np.ndarray, keep: list):
     cut = [q for q, k in enumerate(keep) if k < starts[q + 1] - starts[q]]
     if not cut:
         return None
-    # The keep-th smallest distance of each cut segment.  A segment kept
-    # whole gets inf: its finite distances fall below it, an infinite one
-    # ties.  A segment picked by a sampled threshold gets -inf: the mask
-    # keeps none of it, and its picks are added after.
-    boundary = np.full(len(keep), np.inf)
-    picked = {}
+    # bound[q] is at least the keep[q]-th smallest distance of segment q: the
+    # k-th smallest of the segment, or of a strided sample when the segment
+    # holds at least _SAMPLE_RATIO * k entries.  A segment kept whole gets
+    # inf and one kept empty -inf.
+    bound = np.full(len(keep), np.inf)
     for q in cut:
         k, seg = keep[q], dists[starts[q]:starts[q + 1]]
-        pick = _sampled_smallest(seg, k) if len(seg) >= _SAMPLE_RATIO * k > 0 else None
-        if pick is not None:
-            picked[q] = starts[q] + pick
-            boundary[q] = -np.inf
-        else:
-            boundary[q] = np.partition(seg, k - 1)[k - 1] if k else -np.inf
-    if len(picked) == len(cut):
-        return np.concatenate([picked[q] if q in picked else np.arange(lo, hi)
-                               for q, (lo, hi) in enumerate(zip(starts, starts[1:]))])
-    edge = _per_candidate(boundary, bounds)
-    mask = dists < edge
-    ties = np.nonzero(dists == edge)[0]
-    # Segment q's ties are ties[at[q]:at[q + 1]], in position order.  It
-    # keeps as many of the first ones as its smaller distances leave room for.
-    at = np.searchsorted(ties, starts).tolist()
-    for q in range(len(keep)):
-        if at[q] < at[q + 1]:
-            room = keep[q] - np.count_nonzero(mask[starts[q]:starts[q + 1]])
-            mask[ties[at[q]:at[q] + room]] = True
-    for pick in picked.values():
-        mask[pick] = True
-    return np.nonzero(mask)[0]
-
-
-def _sampled_smallest(seg: np.ndarray, k: int):
-    """Ascending positions of the k smallest entries of ``seg``, ties to the earlier.
-
-    The k-th smallest t of a strided sample is at least the k-th smallest of
-    the whole segment, so only entries up to t are partitioned.  Returns
-    None when most of the sample is up to t (say, all entries are equal),
-    where this would save nothing.
-    """
-    sample = seg[::len(seg) // (_SAMPLE_SIZE * k)]
-    t = np.partition(sample, k - 1)[k - 1]
-    if 2 * np.count_nonzero(sample <= t) > len(sample):
-        return None
-    pos = np.flatnonzero(seg <= t)
-    sub = seg[pos]
-    edge = np.partition(sub, k - 1)[k - 1]
-    keep = sub < edge
-    keep[np.flatnonzero(sub == edge)[:k - np.count_nonzero(keep)]] = True
-    return pos[keep]
+        if len(seg) >= _SAMPLE_RATIO * k > 0:
+            seg = seg[::len(seg) // (_SAMPLE_SIZE * k)]
+        bound[q] = np.partition(seg, k - 1)[k - 1] if k else -np.inf
+    pos = np.flatnonzero(dists <= _per_candidate(bound, bounds))
+    # Segment q's positions are pos[at[q]:at[q + 1]]; one with more than
+    # keep[q] of them keeps its keep[q] smallest, ties to the earlier.
+    at = np.searchsorted(pos, bounds).tolist()
+    kept = np.ones(len(pos), dtype=bool)
+    for q in cut:
+        k, lo, hi = keep[q], at[q], at[q + 1]
+        if hi - lo > k:
+            d, edge = dists[pos[lo:hi]], bound[q]
+            # Fewer than k distances below the bound make it the k-th smallest;
+            # otherwise it is loose, and the k-th smallest is found among these.
+            if k and np.count_nonzero(d < edge) >= k:
+                edge = np.partition(d, k - 1)[k - 1]
+            below = d < edge
+            below[np.flatnonzero(d == edge)[:k - np.count_nonzero(below)]] = True
+            kept[lo:hi] = below
+    return pos[kept]
 
 
 def _check_costs(g: MapGraph, costs, queries: int | None = None) -> np.ndarray:

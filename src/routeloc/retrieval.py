@@ -6,13 +6,13 @@ pairs, and paired distance histograms over shared bin edges.
 """
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .store import DescriptorStore
+from .world import write_csv
 
 # Query rows per block of query-to-reference distances.
 ROW_BLOCK = 256
@@ -31,11 +31,8 @@ class RecallCurve:
         raise KeyError(f"no point at k={k_percent}")
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["k_percent", "recall"])
-            for k, r in self.points:
-                w.writerow(["%.17g" % k, "%.17g" % r])
+        write_csv(path, ["k_percent", "recall"],
+                  (["%.17g" % k, "%.17g" % r] for k, r in self.points))
 
 
 @dataclass
@@ -45,11 +42,8 @@ class PrCurve:
     points: list  # (threshold, precision, recall)
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["threshold", "precision", "recall"])
-            for t, p, r in self.points:
-                w.writerow(["%.17g" % t, "%.17g" % p, "%.17g" % r])
+        write_csv(path, ["threshold", "precision", "recall"],
+                  (["%.17g" % t, "%.17g" % p, "%.17g" % r] for t, p, r in self.points))
 
 
 @dataclass
@@ -61,16 +55,10 @@ class DistHistogram:
     unmatched_counts: np.ndarray
 
     def write_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            w = csv.writer(fh)
-            w.writerow(["bin_lo", "bin_hi", "matched", "unmatched"])
-            for i in range(len(self.matched_counts)):
-                w.writerow([
-                    "%.17g" % self.edges[i],
-                    "%.17g" % self.edges[i + 1],
-                    int(self.matched_counts[i]),
-                    int(self.unmatched_counts[i]),
-                ])
+        write_csv(path, ["bin_lo", "bin_hi", "matched", "unmatched"],
+                  (["%.17g" % lo, "%.17g" % hi, int(m), int(u)]
+                   for lo, hi, m, u in zip(self.edges[:-1], self.edges[1:],
+                                           self.matched_counts, self.unmatched_counts)))
 
 
 def distance_blocks(query_vectors, refs: DescriptorStore):

@@ -14,7 +14,7 @@ import struct
 import numpy as np
 from scipy.spatial.distance import cdist
 
-from .world import rows_in
+from .world import rows_in, write_csv
 
 MAGIC = b"EMB1"
 
@@ -103,11 +103,8 @@ class DescriptorStore:
             fh.write(rec.tobytes())
 
     def _save_csv(self, path) -> None:
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["id"] + [f"v{i}" for i in range(self.dim)])
-            for i, v in zip(self.ids, self.vectors):
-                writer.writerow([int(i)] + ["%.17g" % x for x in v])
+        write_csv(path, ["id"] + [f"v{i}" for i in range(self.dim)],
+                  ([int(i)] + ["%.17g" % x for x in v] for i, v in zip(self.ids, self.vectors)))
 
     @classmethod
     def load(cls, path) -> "DescriptorStore":

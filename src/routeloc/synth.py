@@ -9,12 +9,11 @@ plus per-tag offset vectors, so semantic tags stay recoverable from latents.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import minimum_spanning_tree
+from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
 from scipy.spatial import Delaunay
 
 from .world import TAG_NAMES, Location, MapGraph, bearing_deg, check_whole
@@ -292,20 +291,13 @@ def _best_block_grid(n, b):
 
 
 def _largest_component(adjacency):
-    unseen = set(adjacency)
-    best: set = set()
-    while unseen:
-        start = min(unseen)
-        comp = {start}
-        queue = deque([start])
-        unseen.discard(start)
-        while queue:
-            u = queue.popleft()
-            for v in adjacency[u]:
-                if v in unseen:
-                    unseen.discard(v)
-                    comp.add(v)
-                    queue.append(v)
-        if len(comp) > len(best) or (len(comp) == len(best) and min(comp) < min(best or {0})):
-            best = comp
-    return best
+    """Ids of the largest connected component, the one holding the smallest id on a tie.
+
+    Ids are 0 .. n-1; components are labelled in order of their smallest id.
+    """
+    n = len(adjacency)
+    rows = np.repeat(np.arange(n), [len(adjacency[u]) for u in range(n)])
+    cols = np.array([v for u in range(n) for v in adjacency[u]], dtype=np.intp)
+    links = csr_matrix((np.ones(len(cols)), (rows, cols)), shape=(n, n))
+    labels = connected_components(links, directed=False)[1]
+    return set(np.flatnonzero(labels == np.argmax(np.bincount(labels))).tolist())

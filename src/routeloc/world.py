@@ -8,6 +8,7 @@ locations that never revisit a location.
 """
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass
 from numbers import Integral
@@ -61,6 +62,14 @@ def rows_in(sorted_ids: np.ndarray, ids, error: type[Exception]) -> np.ndarray:
     if bad.any():
         raise error(f"unknown location id {int(ids.flat[np.argmax(bad)])}")
     return rows
+
+
+def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write a UTF-8 CSV file: the ``header`` row, then ``rows``."""
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        w = csv.writer(fh)
+        w.writerow(header)
+        w.writerows(rows)
 
 
 @dataclass

@@ -389,6 +389,20 @@ class TestBenchCommands:
         assert ret == 2
         assert "error[config]: unknown method" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("setting", [["--routes", "0"], ["--cull-fraction", "1.5"],
+                                         ["--max-length", "3"]])
+    def test_sweep_checks_settings_before_training(self, pipeline, tmp_path, capsys,
+                                                   monkeypatch, setting):
+        def train(*args, **kwargs):
+            raise AssertionError("encoders trained before the settings were checked")
+
+        monkeypatch.setattr("routeloc.cli.train_encoders", train)
+        ret = main(["bench", "sweep", "--graph", str(pipeline["graph"]), "--methods", "ES",
+                    *setting, "--out", str(tmp_path / "out")])
+        assert ret == 2
+        assert "error[config]:" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
     def test_sweep_views_follow_seed(self, pipeline, tmp_path, monkeypatch):
         seeds = []
         from_graph = WorldViews.from_graph

@@ -1,7 +1,8 @@
-"""Every function, class, method and property in the package is used by the program.
+"""Every function, class, method, property and module-level name in the package is used.
 
 The program is the package, the benchmark harness and the acceptance
-tests.  A module-level definition counts as used when some name elsewhere
+tests.  A module-level definition, or a name a module-level assignment
+binds (a constant, a type alias), counts as used when some name elsewhere
 in the program refers to it, or an attribute of a name bound to a routeloc
 module (``rbench.run_experiment``, ``bench_mod.METHODS``).  Attributes of
 anything else (``text.encode()``) do not count.  A method or property
@@ -70,6 +71,20 @@ def _program() -> tuple:
     return modules, others
 
 
+def _bound_names(node: ast.AST) -> list:
+    """Names a module-level statement binds: a definition's, or an assignment's targets."""
+    if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        return [node.name]
+    if isinstance(node, ast.Assign):
+        targets = node.targets
+    elif isinstance(node, ast.AnnAssign):
+        targets = [node.target]
+    else:
+        return []
+    return [t.id for target in targets for t in ast.walk(target)
+            if isinstance(t, ast.Name) and not t.id.startswith("__")]
+
+
 def test_no_definition_is_unused():
     modules, others = _program()
     refs = {name: _referenced_names(tree) for name, tree in {**modules, **others}.items()}
@@ -77,10 +92,9 @@ def test_no_definition_is_unused():
     for name, tree in modules.items():
         elsewhere = set().union(*(r for other, r in refs.items() if other != name))
         for node in tree.body:
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            if node.name not in elsewhere and node.name not in _referenced_names(tree, skip=node):
-                unused.append(f"{name}:{node.lineno} {node.name}")
+            unused += [f"{name}:{node.lineno} {bound}" for bound in _bound_names(node)
+                       if bound not in elsewhere
+                       and bound not in _referenced_names(tree, skip=node)]
     assert not unused, "defined but never used outside unit tests: " + ", ".join(unused)
 
 

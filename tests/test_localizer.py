@@ -903,15 +903,19 @@ class TestLevels:
 
 class TestSmallest:
     @given(st.lists(st.tuples(st.integers(0, 2000), st.integers(0, 6)), min_size=1, max_size=4),
-           st.sampled_from(["ties", "equal", "floats"]), st.integers(0, 2 ** 32 - 1))
-    @settings(max_examples=150, deadline=None)
+           st.sampled_from(["ties", "equal", "floats", "inf"]), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=200, deadline=None)
     def test_equals_a_full_sort(self, segments, kind, seed):
         rng = np.random.default_rng(seed)
         bounds = np.concatenate([[0], np.cumsum([n for n, _ in segments])])
-        keep = [min(k, n) for n, k in segments]
+        keep = [min(k, n) for n, k in segments]    # k = 0 keeps none
         size = int(bounds[-1])
+        # Sums of finite costs can reach +inf and -inf.
+        signed_inf = np.where(rng.random(size) < 0.5, np.inf, -np.inf)
         dists = {"ties": rng.integers(0, 4, size).astype(float), "equal": np.full(size, 2.0),
-                 "floats": rng.random(size)}[kind]
+                 "floats": rng.random(size),
+                 "inf": np.where(rng.random(size) < 0.3, signed_inf,
+                                 rng.integers(0, 4, size).astype(float))}[kind]
         got = localizer._smallest(dists, bounds, keep)
         if keep == [n for n, _ in segments]:
             assert got is None
@@ -921,16 +925,12 @@ class TestSmallest:
     def test_large_segments_pick_through_a_sampled_threshold(self):
         rng = np.random.default_rng(5)
         dists = rng.integers(0, 60, 30000).astype(float)    # ties at every value
+        # The first segment is too small to sample; the other two are sampled.
         bounds = np.array([0, 100, 20000, 30000])
         keep = [5, 5, 3]
-        with mock.patch.object(localizer, "_sampled_smallest",
-                               wraps=localizer._sampled_smallest) as sampled:
-            got = localizer._smallest(dists, bounds, keep)
-        # The first segment is too small to sample; the other two are sampled.
-        assert sampled.call_count == 2
-        assert np.array_equal(got, reference_smallest(dists, bounds, keep))
-        # All-equal entries give the sample nothing to cut, so the full partition runs.
-        assert localizer._sampled_smallest(np.zeros(5000), 5) is None
+        assert np.array_equal(localizer._smallest(dists, bounds, keep),
+                              reference_smallest(dists, bounds, keep))
+        # All-equal entries: the sample bounds the k-th smallest exactly.
         assert np.array_equal(localizer._smallest(np.zeros(5000), np.array([0, 5000]), [5]),
                               np.arange(5))
 

@@ -4,6 +4,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+from routeloc import synth
 from routeloc import (
     SyntheticWorldConfig,
     TAG_NAMES,
@@ -92,6 +93,12 @@ class TestGridLayout:
         assert 2 <= len(g) <= 100
         assert is_connected(g)
         g.validate()
+
+    def test_equal_components_tie_to_the_smallest_id(self):
+        adjacency = {0: {3}, 1: {2}, 2: {1}, 3: {0}, 4: set()}
+        assert synth._largest_component(adjacency) == {0, 3}
+        adjacency = {0: set(), 1: {4}, 2: {3, 4}, 3: {2}, 4: {1, 2}}
+        assert synth._largest_component(adjacency) == {1, 2, 3, 4}
 
 
 class TestRandomPlanarLayout:
