@@ -305,15 +305,17 @@ _route_trees = weakref.WeakKeyDictionary()
 
 
 def route_tree(g: MapGraph, exclusions: Iterable[str] = ()) -> RouteTree:
-    """The graph's route tree for this exclusion set, built once.
+    """The graph's route tree for this exclusion set, for a new search.
 
-    The tree is cached by graph, so it is shared by every search over that
-    graph and freed with it.
+    The tree is cached by graph, so it is shared by the searches over that
+    graph and freed with it.  Every search adds its expansions to the tree,
+    so once the cached tree holds more than half the node budget a new
+    search gets a fresh one; searches already under way keep their own.
     """
     key = frozenset(exclusions)
     trees = _route_trees.setdefault(g, {})
     tree = trees.get(key)
-    if tree is None:
+    if tree is None or tree.size > _MAX_TREE_NODES // 2:
         tree = trees[key] = RouteTree(g, key)
     return tree
 

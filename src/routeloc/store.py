@@ -31,6 +31,8 @@ class DescriptorStore:
         vectors = np.asarray(vectors, dtype=np.float64)
         if vectors.ndim != 2 or len(ids) != len(vectors):
             raise ValueError("need ids (N,) and vectors (N, dim) of matching length")
+        if vectors.shape[1] == 0:
+            raise ValueError("descriptor vectors need at least one dimension")
         if len(ids) == 0:
             raise ValueError("descriptor store cannot be empty")
         if np.any(ids < 0):
@@ -150,6 +152,8 @@ class DescriptorStore:
                 raise StoreFormatError(f"{path}: empty file") from None
             if not header or header[0] != "id":
                 raise StoreFormatError(f"{path}: expected CSV header starting with 'id'")
+            if len(header) == 1:
+                raise StoreFormatError(f"{path}: CSV header has no value columns")
             dim = len(header) - 1
             ids, vecs = [], []
             for lineno, row in enumerate(reader, 2):

@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from numbers import Integral
 from typing import Iterable, Iterator, Sequence
 
@@ -64,6 +65,12 @@ def rows_in(sorted_ids: np.ndarray, ids, error: type[Exception]) -> np.ndarray:
     return rows
 
 
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """Mark ``a`` read-only and return it."""
+    a.flags.writeable = False
+    return a
+
+
 def write_csv(path, header: Sequence[str], rows: Iterable[Sequence]) -> None:
     """Write a UTF-8 CSV file: the ``header`` row, then ``rows``."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
@@ -106,8 +113,8 @@ class MapGraph:
     The constructor validates structural invariants (unique ids, symmetric
     adjacency, resolvable neighbor ids, uniform latent dimension) and
     computes ``spacing`` as the mean edge length in meters.  Instances are
-    treated as read-only after construction; index arrays for vectorized
-    consumers are built lazily and cached.
+    treated as read-only after construction; the row-space arrays for
+    vectorized consumers are built on first use, cached and read-only.
     """
 
     def __init__(self, locations: Iterable[Location]):
@@ -118,7 +125,6 @@ class MapGraph:
             locs[loc.id] = loc
         self._locs = dict(sorted(locs.items()))
         self.spacing = self._mean_edge_length()
-        self._index_built = False
         self.validate()
 
     # ------------------------------------------------------------------
@@ -215,69 +221,47 @@ class MapGraph:
     # vectorized index (row space)
     # ------------------------------------------------------------------
 
-    def _build_index(self) -> None:
-        if self._index_built:
-            return
-        ids = np.fromiter(self._locs.keys(), dtype=np.int64)
-        n = len(ids)
-        pos = np.empty((n, 2), dtype=np.float64)
-        row_of = {int(i): r for r, i in enumerate(ids)}
-        max_deg = max((len(l.neighbors) for l in self._locs.values()), default=0)
-        nbr = np.full((n, max(max_deg, 1)), -1, dtype=np.int32)
-        tags = np.zeros((n, len(TAG_NAMES)), dtype=bool)
-        for r, loc in enumerate(self._locs.values()):
-            pos[r] = loc.position
-            for j, nb in enumerate(sorted(loc.neighbors)):
-                nbr[r, j] = row_of[nb]
-            for t, name in enumerate(TAG_NAMES):
-                if name in loc.tags:
-                    tags[r, t] = True
-        self._ids = ids
-        self._pos = pos
-        self._nbr = nbr
-        self._tags = tags
-        self._index_built = True
-
-    @property
+    @cached_property
     def id_array(self) -> np.ndarray:
         """Location ids ascending, shape (N,)."""
-        self._build_index()
-        return self._ids
+        return _read_only(np.fromiter(self._locs, dtype=np.int64, count=len(self)))
 
-    @property
+    @cached_property
     def position_array(self) -> np.ndarray:
         """Positions by row, shape (N, 2)."""
-        self._build_index()
-        return self._pos
+        pos = [loc.position for loc in self._locs.values()]
+        return _read_only(np.array(pos, dtype=np.float64).reshape(len(self), 2))
 
-    @property
+    @cached_property
     def neighbor_rows(self) -> np.ndarray:
         """Padded adjacency in row indices, ascending, shape (N, max_degree); -1 pads."""
-        self._build_index()
-        return self._nbr
+        degree = np.array([len(loc.neighbors) for loc in self._locs.values()], dtype=np.intp)
+        nbr = np.full((len(self), max(degree.max(initial=0), 1)), -1, dtype=np.int32)
+        # A boolean mask assigns in row-major order: each row's neighbors, left-aligned.
+        nbr[np.arange(nbr.shape[1]) < degree[:, None]] = self.rows_of(
+            [nb for loc in self._locs.values() for nb in sorted(loc.neighbors)])
+        return _read_only(nbr)
 
-    @property
+    @cached_property
     def tag_matrix(self) -> np.ndarray:
         """Tag flags by row, shape (N, len(TAG_NAMES)), columns in TAG_NAMES order."""
-        self._build_index()
-        return self._tags
+        tags = [[name in loc.tags for name in TAG_NAMES] for loc in self._locs.values()]
+        return _read_only(np.array(tags, dtype=bool).reshape(len(self), len(TAG_NAMES)))
 
     def rows_of(self, loc_ids) -> np.ndarray:
         """Row indices of an array of ids, same shape (raises on unknown ids)."""
-        self._build_index()
-        return rows_in(self._ids, loc_ids, GraphInvariantError)
+        return rows_in(self.id_array, loc_ids, GraphInvariantError)
 
     def allowed_mask(self, exclusions: Iterable[str] = ()) -> np.ndarray:
         """Boolean row mask of locations carrying none of the excluded tags."""
-        self._build_index()
         excl = frozenset(exclusions)
         unknown = excl - set(TAG_NAMES)
         if unknown:
             raise ValueError(f"unknown exclusion tags {sorted(unknown)}")
         if not excl:
-            return np.ones(len(self._ids), dtype=bool)
+            return np.ones(len(self), dtype=bool)
         cols = [TAG_NAMES.index(t) for t in excl]
-        return ~self._tags[:, cols].any(axis=1)
+        return ~self.tag_matrix[:, cols].any(axis=1)
 
     def latent_matrix(self) -> np.ndarray:
         """Latents stacked by row, shape (N, d); raises if any are missing."""

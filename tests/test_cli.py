@@ -458,6 +458,15 @@ class TestErrorReporting:
         ]) == 2
         assert "error[format]:" in capsys.readouterr().err
 
+    def test_zero_dimension_store_is_format(self, pipeline, tmp_path, capsys):
+        path = tmp_path / "zero.csv"
+        path.write_text("id\n0\n1\n")
+        assert main([
+            "eval", "recall", "--queries", str(pipeline["image_store"]),
+            "--refs", str(path), "--out", str(tmp_path),
+        ]) == 2
+        assert "error[format]:" in capsys.readouterr().err
+
     def test_argparse_rejects_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["world", "explode"])

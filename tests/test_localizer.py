@@ -661,6 +661,27 @@ class TestBudget:
         assert grown.ranked() == run_chain(fresh, make_store(fresh), np.ones((6, DIM)),
                                            LocalizerConfig()).ranked()
 
+    def test_many_culled_searches_fit_the_tree_budget(self, lattice):
+        # Each culled search adds about 3.5k nodes to the shared tree and needs
+        # under 5k by itself: 20 of them overrun one tree of 16k nodes.
+        cfg = LocalizerConfig(cull_fraction=0.5, cull_floor=10)
+        rng = np.random.default_rng(6)
+        with mock.patch.object(localizer, "_MAX_TREE_NODES", 16000):
+            first = start_candidates(lattice, rng.random(len(lattice)), (), cfg)
+            trees = set()
+            for _ in range(20):
+                state = start_candidates(lattice, rng.random(len(lattice)), (), cfg)
+                for _ in range(11):
+                    state = advance_candidates(state, rng.random(len(lattice)), None, cfg)
+                trees.add(id(state.tree))
+                assert state.tree.size <= 16000
+            # A search started on an earlier tree goes on in that tree.
+            tree = first.tree
+            for _ in range(11):
+                first = advance_candidates(first, np.zeros(len(lattice)), None, cfg)
+            assert first.tree is tree
+        assert len(trees) > 1
+
 
 class TestRouteTree:
     @given(tie_heavy_searches(), search_configs, st.booleans(),

@@ -35,6 +35,7 @@ class TestConstruction:
             ([3, 1, 3], np.ones((3, 2)), "duplicate descriptor id 3"),
             ([1, 2], [[0.0, np.nan], [1.0, 1.0]], "must be finite"),
             ([1, 2], [[0.0, 1.0], [-np.inf, 1.0]], "must be finite"),
+            ([1, 2], np.ones((2, 0)), "at least one dimension"),
         ],
     )
     def test_rejects_invalid(self, ids, vecs, msg):
@@ -261,6 +262,8 @@ class TestCsvFormat:
             ("id,v0,v1\n1,2.0\n", "line 2: expected 3 fields"),
             ("id,v0\n1,2.0\n2,spam\n", "line 3"),
             ("id,v0\n", "no descriptor rows"),
+            ("id\n1\n2\n", "bad.csv: CSV header has no value columns"),
+            ("id\n", "no value columns"),
             ("id,v0,v1\n1,2.0,0\n2,0,nan\n", "line 3: values must be finite"),
             ("id,v0\n1,-inf\n", "line 2: values must be finite"),
         ],

@@ -12,12 +12,15 @@ from routeloc import (
     GraphInvariantError,
     Location,
     MapGraph,
+    SyntheticWorldConfig,
     TAG_NAMES,
     WorldViews,
     bearing_deg,
     enumerate_routes,
+    generate_synthetic_world,
     load_graph,
     save_graph,
+    start_candidates,
     turn_pattern,
 )
 from routeloc.world import bearing_turns, segment_bearings
@@ -238,6 +241,80 @@ def fuzzed_graphs(draw):
         # Coinciding positions leave a graph with edges but no spacing.
         assume("spacing" not in str(exc))
         raise
+
+
+INDEX = ("id_array", "position_array", "neighbor_rows", "tag_matrix")
+
+
+def reference_index(g):
+    """The row-space arrays built location by location, through a dict from id to row."""
+    locs = list(g.locations())
+    n = len(locs)
+    row_of = {loc.id: r for r, loc in enumerate(locs)}
+    ids = np.array([loc.id for loc in locs], dtype=np.int64)
+    pos = np.empty((n, 2), dtype=np.float64)
+    max_deg = max((len(loc.neighbors) for loc in locs), default=0)
+    nbr = np.full((n, max(max_deg, 1)), -1, dtype=np.int32)
+    tags = np.zeros((n, len(TAG_NAMES)), dtype=bool)
+    for r, loc in enumerate(locs):
+        pos[r] = loc.position
+        for j, nb in enumerate(sorted(loc.neighbors)):
+            nbr[r, j] = row_of[nb]
+        for t, name in enumerate(TAG_NAMES):
+            tags[r, t] = name in loc.tags
+    return dict(zip(INDEX, (ids, pos, nbr, tags)))
+
+
+def assert_index_matches_reference(g):
+    for name, want in reference_index(g).items():
+        got = getattr(g, name)
+        assert (got.dtype, got.shape) == (want.dtype, want.shape), name
+        np.testing.assert_array_equal(got, want, err_msg=name)
+        assert not got.flags.writeable, name
+
+
+class TestIndexArrays:
+    @given(fuzzed_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_fuzzed_graphs_match_reference(self, g):
+        assert_index_matches_reference(g)
+
+    @pytest.mark.parametrize("layout", ["grid", "random-planar"])
+    @pytest.mark.parametrize("seed,block_len,drop", [(0, 1, 0.0), (1, 3, 0.0), (2, 1, 0.3),
+                                                     (3, 3, 0.3)])
+    def test_generated_worlds_match_reference(self, layout, seed, block_len, drop):
+        g = generate_synthetic_world(SyntheticWorldConfig(
+            layout=layout, node_count=80, seed=seed, block_len=block_len, edge_drop_prob=drop,
+            tag_densities={"tunnel": 0.2, "gap_left": 0.1}))
+        assert_index_matches_reference(g)
+
+    def test_edgeless_and_empty_graphs_match_reference(self):
+        edgeless = MapGraph([Location(9, (1.0, 2.0), 0.0, ()),
+                             Location(4, (3.0, 4.0), 0.0, (), frozenset({"tunnel"}))])
+        assert_index_matches_reference(edgeless)
+        assert_index_matches_reference(MapGraph([]))
+
+    @pytest.mark.parametrize("name", INDEX)
+    def test_arrays_are_read_only(self, tee_graph, name):
+        arr = getattr(tee_graph, name)
+        with pytest.raises(ValueError, match="read-only"):
+            arr[0] = arr[-1]
+        assert getattr(tee_graph, name) is arr
+
+    def test_tag_edit_cannot_empty_a_search(self):
+        g = generate_synthetic_world(SyntheticWorldConfig(node_count=60, seed=4))
+        with pytest.raises(ValueError, match="read-only"):
+            g.tag_matrix[:, TAG_NAMES.index("tunnel")] = True
+        assert start_candidates(g, np.zeros(len(g)), ("tunnel",)).size == len(g)
+
+    def test_saving_builds_no_index(self, tee_graph, tmp_path):
+        g = MapGraph(tee_graph.locations())
+        save_graph(g, tmp_path / "g.txt")
+        assert not set(INDEX) & set(vars(g))
+        g.allowed_mask()
+        assert not set(INDEX) & set(vars(g))
+        g.rows_of([2])
+        assert set(INDEX) & set(vars(g)) == {"id_array"}
 
 
 class TestFileFormat:
