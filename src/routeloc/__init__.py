@@ -54,7 +54,6 @@ from .localizer import (
     advance_candidates,
     check_success,
     localize_full,
-    localize_step,
     start_candidates,
     write_ranked_csv,
 )

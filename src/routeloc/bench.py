@@ -22,7 +22,6 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .baselines import BsdNoise, hamming_cost_vector, map_code_matrix, simulate_query_codes
 from .embedding import (
@@ -35,6 +34,7 @@ from .embedding import (
     train_encoders,
 )
 from .localizer import LocalizerConfig, advance_candidates, check_success, start_candidates
+from .store import DescriptorStore
 from .synth import SyntheticWorldConfig, generate_synthetic_world
 from .world import TAG_NAMES, MapGraph, check_whole, load_graph, turn_pattern, write_csv
 
@@ -265,7 +265,7 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
     with_turns = cfg.method in ("ES+T", "BSD+T", "T-only")
     loss_cfg = LossConfig()
 
-    store_matrix = None
+    store = None
     f_enc = None
     if use_embeddings:
         if views is None:
@@ -279,8 +279,8 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
             lap("training")
         else:
             g_enc, f_enc = encoders
-        # Map-side reference store over S1 tiles, aligned to graph rows.
-        store_matrix = encode_batch(views.map_s1, g_enc, loss_cfg)
+        # Map-side reference store over S1 tiles; views.ids is the graph's id order.
+        store = DescriptorStore(views.ids, encode_batch(views.map_s1, g_enc, loss_cfg))
 
     codes = map_code_matrix(g) if use_bsd else None
 
@@ -315,7 +315,7 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
         qbits = np.array([turn_pattern(routes[idx], g) for idx in chunk]) if with_turns else None
         if use_embeddings:
             descs = np.array(obs)
-            costs_at = lambda i: cdist(descs[:, i], store_matrix)
+            costs_at = lambda i: store.distance_matrix(descs[:, i])
         elif use_bsd:
             costs_at = lambda i: np.array([hamming_cost_vector(codes, qc[i]) for qc in obs])
         else:

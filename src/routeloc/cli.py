@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+import zipfile
 
 import numpy as np
 
@@ -217,12 +218,19 @@ def _cmd_embed_train(args):
 
 
 def _load_encoders(path):
-    data = np.load(path)
-    g_enc = Encoder(data["g_weights"], data["g_bias"])
-    f_enc = Encoder(data["f_weights"], data["f_bias"])
-    cfg = LossConfig(alpha=float(data["alpha"]), scale=float(data["scale"]),
-                     dim=int(data["dim"]))
-    return g_enc, f_enc, cfg, int(data["view_seed"])
+    """(g_enc, f_enc, loss config, view seed); StoreFormatError if no such archive."""
+    try:
+        data = np.load(path)
+        if not isinstance(data, np.lib.npyio.NpzFile):
+            raise ValueError("a single array, not an archive")
+        with data:
+            g_enc = Encoder(data["g_weights"], data["g_bias"])
+            f_enc = Encoder(data["f_weights"], data["f_bias"])
+            cfg = LossConfig(alpha=float(data["alpha"]), scale=float(data["scale"]),
+                             dim=int(data["dim"]))
+            return g_enc, f_enc, cfg, int(data["view_seed"])
+    except (EOFError, KeyError, TypeError, ValueError, zipfile.BadZipFile) as exc:
+        raise StoreFormatError(f"{path}: not an encoder archive: {exc}") from None
 
 
 def _cmd_embed_export(args):
@@ -260,12 +268,13 @@ def _cmd_eval_pr(args):
     queries = DescriptorStore.load(args.queries)
     refs = DescriptorStore.load(args.refs)
     rng = np.random.default_rng(args.seed)
+    rows = refs.rows_of(queries.ids)
     matched = []
     unmatched = []
     for lo, block in distance_blocks(queries.vectors, refs):
-        for qid, d in zip(queries.ids[lo:lo + len(block)], block):
-            matched.append(d[refs.row_of(int(qid))])
-            others = np.nonzero(refs.ids != qid)[0]
+        for i, d in enumerate(block, lo):
+            matched.append(d[rows[i]])
+            others = np.nonzero(refs.ids != queries.ids[i])[0]
             take = min(args.unmatched_per_query, len(others))
             unmatched.extend(d[rng.choice(others, size=take, replace=False)])
     matched = np.array(matched)
@@ -390,8 +399,7 @@ _ERROR_CATEGORIES = (
     (GraphInvariantError, "invariant"),
     (bench_mod.SimulationError, "simulation"),
     (TrainingDiverged, "training"),
-    (FileNotFoundError, "io"),
-    (PermissionError, "io"),
+    (OSError, "io"),
     (KeyError, "lookup"),
     (ValueError, "config"),
 )

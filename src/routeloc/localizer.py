@@ -3,7 +3,8 @@
 A query route is an ordered sequence of descriptors.  Its distance to a
 candidate route is the sum of per-position Euclidean descriptor distances.
 ``localize_full`` ranks a given list of routes in one batch and is the
-reference the incremental search is checked against.
+reference the incremental search is checked against.  Both read their
+costs from one ``DescriptorStore.distance_matrix`` table.
 
 The incremental search (``start_candidates``, ``advance_candidates``)
 keeps one observation per step.  Its candidates are nodes of a
@@ -519,16 +520,6 @@ def _check_budget(bounds: np.ndarray) -> None:
             raise CandidateBudgetError(
                 f"a step would build {widest} candidates for one query, past the budget "
                 f"of {_MAX_FRONTIER}; cull harder or search shorter routes")
-
-
-def localize_step(state: CandidateSet, next_query, next_turn_bit, g: MapGraph,
-                  store: DescriptorStore,
-                  cfg: LocalizerConfig = LocalizerConfig()) -> CandidateSet:
-    """One incremental step driven by a query descriptor (see advance_candidates)."""
-    if g is not state.graph:
-        raise ValueError("state was built over a different graph")
-    costs = store.cost_vector(np.asarray(next_query, dtype=np.float64), g.id_array)
-    return advance_candidates(state, costs, next_turn_bit, cfg)
 
 
 def localize_full(query: RouteDescriptor, routes, store: DescriptorStore) -> list:

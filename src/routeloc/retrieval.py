@@ -99,11 +99,12 @@ def topk_percent_recall(query_vectors, truth_ids, refs: DescriptorStore,
 
     Every query's truth id must exist in the reference store.
     """
-    ks = sorted(float(k) for k in ks)
+    ks = [float(k) for k in ks]
     if not ks:
         raise ValueError("need at least one k value")
-    if any(k <= 0 or k > 100 for k in ks):
+    if not all(0 < k <= 100 for k in ks):
         raise ValueError(f"k percentages must lie in (0, 100], got {ks}")
+    ks.sort()
     ranks = truth_ranks(query_vectors, truth_ids, refs)
     points = []
     for k in ks:

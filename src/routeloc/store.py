@@ -20,7 +20,7 @@ MAGIC = b"EMB1"
 
 
 class StoreFormatError(ValueError):
-    """Raised when a descriptor store file is malformed."""
+    """Raised when a descriptor store file or an encoder archive is malformed."""
 
 
 class DescriptorStore:
@@ -54,9 +54,6 @@ class DescriptorStore:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def row_of(self, loc_id: int) -> int:
-        return int(self.rows_of(loc_id))
-
     def rows_of(self, loc_ids) -> np.ndarray:
         return rows_in(self.ids, loc_ids, KeyError)
 
@@ -71,17 +68,6 @@ class DescriptorStore:
         if q.ndim != 2 or q.shape[1] != self.dim:
             raise ValueError(f"queries shape {q.shape} does not match (Q, {self.dim})")
         return cdist(q, self.vectors)
-
-    def distances_to(self, query) -> np.ndarray:
-        """Euclidean distance from every stored descriptor to the query, store order."""
-        q = np.asarray(query, dtype=np.float64)
-        if q.shape != (self.dim,):
-            raise ValueError(f"query shape {q.shape} does not match store dim {self.dim}")
-        return self.distance_matrix(q[None, :])[0]
-
-    def cost_vector(self, query, id_order) -> np.ndarray:
-        """Distances to the query, reordered to follow ``id_order``."""
-        return self.distances_to(query)[self.rows_of(id_order)]
 
     # ------------------------------------------------------------------
     # file io

@@ -131,6 +131,12 @@ class MapGraph:
     # basic access
     # ------------------------------------------------------------------
 
+    def __setattr__(self, name, value):
+        # The cached index; cached_property fills the instance __dict__ past this check.
+        if name in ("id_array", "position_array", "neighbor_rows", "tag_matrix"):
+            raise AttributeError(f"MapGraph.{name} is derived from the locations")
+        super().__setattr__(name, value)
+
     def __len__(self) -> int:
         return len(self._locs)
 

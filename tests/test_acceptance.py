@@ -29,12 +29,12 @@ from routeloc import (
     TrainBatch,
     TrainParams,
     WorldViews,
+    advance_candidates,
     batch_loss,
     difference_score,
     enumerate_routes,
     generate_synthetic_world,
     localize_full,
-    localize_step,
     normalize_scale,
     pair_counts,
     precision_recall_curve,
@@ -165,9 +165,10 @@ def test_03_incremental_search_equals_batch_search():
         store = DescriptorStore(g.id_array, rng.normal(0.0, 1.0, (len(g), dim)))
         query = rng.normal(0.0, 1.0, (m, dim))
 
-        state = start_candidates(g, store.cost_vector(query[0], g.id_array), (), cfg)
+        costs = store.distance_matrix(query)[:, store.rows_of(g.id_array)]
+        state = start_candidates(g, costs[0], (), cfg)
         for i in range(1, m):
-            state = localize_step(state, query[i], None, g, store, cfg)
+            state = advance_candidates(state, costs[i], None, cfg)
         got = state.ranked()
         want = localize_full(query, enumerate_routes(g, m), store)
 

@@ -178,6 +178,12 @@ class TestEvalCommands:
         assert float(rows[2][1]) == 1.0  # top-100% recall is always perfect
         assert "top100%=" in capsys.readouterr().out
 
+    def test_nan_recall_k_is_config(self, pipeline, tmp_path, capsys):
+        assert main(["eval", "recall", "--queries", str(pipeline["image_store"]),
+                     "--refs", str(pipeline["map_store"]), "--ks", "50,nan",
+                     "--out", str(tmp_path)]) == 2
+        assert capsys.readouterr().err.startswith("error[config]: k percentages must lie")
+
     def test_pr(self, pipeline, tmp_path):
         ret = main([
             "eval", "pr", "--queries", str(pipeline["image_store"]),
@@ -208,8 +214,8 @@ class TestEvalCommands:
         rng = np.random.default_rng(3)
         matched, unmatched = [], []
         for qid, vec in zip(queries.ids, queries.vectors):
-            d = refs.distances_to(vec)
-            matched.append(d[refs.row_of(int(qid))])
+            d = refs.distance_matrix(vec[None])[0]
+            matched.append(d[refs.rows_of(qid)])
             others = np.nonzero(refs.ids != qid)[0]
             unmatched.extend(d[rng.choice(others, size=9, replace=False)])
         matched, unmatched = np.array(matched), np.array(unmatched)
@@ -466,6 +472,50 @@ class TestErrorReporting:
             "--refs", str(path), "--out", str(tmp_path),
         ]) == 2
         assert "error[format]:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", [
+        ["world", "load", "{dir}"],
+        ["eval", "recall", "--queries", "{dir}", "--refs", "{map_store}", "--out", "{out}"],
+        ["embed", "export", "--graph", "{graph}", "--encoders", "{dir}", "--out", "{out}"],
+        ["embed", "export", "--graph", "{graph}", "--encoders", "{out}", "--out", "{out}"],
+        ["world", "gen", "--nodes", "9", "--out", "{file}"],
+    ])
+    def test_os_errors_are_io(self, pipeline, tmp_path, capsys, command):
+        # A directory or a missing file where a file is read, or a file where a
+        # directory is made.
+        (tmp_path / "file").write_text("")
+        paths = dict(dir=tmp_path, file=tmp_path / "file", out=tmp_path / "out",
+                     graph=pipeline["graph"], map_store=pipeline["map_store"])
+        assert main([arg.format(**paths) for arg in command]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error[io]:") and "Traceback" not in err
+
+    @staticmethod
+    def malformed_encoders(pipeline, tmp_path, case):
+        """An --encoders file that is no encoder archive, by ``case``."""
+        if case == "truncated":
+            path = tmp_path / "encoders.npz"
+            path.write_bytes(pipeline["encoders"].read_bytes()[:-100])
+        elif case == "npy":
+            path = tmp_path / "encoders.npy"
+            np.save(path, np.ones(3))
+        elif case == "store":
+            path = pipeline["map_store"]
+        else:
+            path = tmp_path / "encoders.npz"
+            data = dict(np.load(pipeline["encoders"]))
+            del data["view_seed"]
+            np.savez(path, **data)
+        return path
+
+    @pytest.mark.parametrize("case", ["truncated", "npy", "store", "no_view_seed"])
+    def test_malformed_encoders_are_format(self, pipeline, tmp_path, capsys, case):
+        path = self.malformed_encoders(pipeline, tmp_path, case)
+        assert main(["embed", "export", "--graph", str(pipeline["graph"]),
+                     "--encoders", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[format]: {path}: not an encoder archive")
+        assert not (tmp_path / "out").exists()
 
     def test_argparse_rejects_unknown_subcommand(self):
         with pytest.raises(SystemExit):

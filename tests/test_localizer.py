@@ -23,7 +23,6 @@ from routeloc import (
     enumerate_routes,
     generate_synthetic_world,
     localize_full,
-    localize_step,
     start_candidates,
     turn_pattern,
     write_ranked_csv,
@@ -110,24 +109,34 @@ search_configs = st.builds(
 maybe_turns = st.booleans()
 
 
+def cost_table(g, store, q):
+    """(m, N) distances from the m query descriptors to the store, in graph-row order."""
+    return store.distance_matrix(q)[:, store.rows_of(g.id_array)]
+
+
 def run_chain(g, store, q, cfg, turns=None, exclusions=()):
     """Stepped search over the query q, with query turn bits when given."""
-    state = start_candidates(g, store.cost_vector(q[0], g.id_array), exclusions, cfg)
+    costs = cost_table(g, store, q)
+    state = start_candidates(g, costs[0], exclusions, cfg)
     for i in range(1, len(q)):
         bit = None if turns is None else turns[i - 1]
-        state = localize_step(state, q[i], bit, g, store, cfg)
+        state = advance_candidates(state, costs[i], bit, cfg)
     return state
+
+
+def lockstep_tables(g, store, queries):
+    """(m, Q, N): step i's cost table over every query."""
+    return np.stack([cost_table(g, store, q) for q in queries], axis=1)
 
 
 def lockstep_chain(g, store, queries, cfg, patterns=None, exclusions=()):
     """One search over all queries at once, with their turn bits when given; every state."""
-    def table(i):
-        return np.array([store.cost_vector(q[i], g.id_array) for q in queries])
+    table = lockstep_tables(g, store, queries)
 
-    states = [start_candidates(g, table(0), exclusions, cfg)]
+    states = [start_candidates(g, table[0], exclusions, cfg)]
     for i in range(1, len(queries[0])):
         bits = None if patterns is None else [turns[i - 1] for turns in patterns]
-        states.append(advance_candidates(states[-1], table(i), bits, cfg))
+        states.append(advance_candidates(states[-1], table[i], bits, cfg))
     return states
 
 
@@ -139,18 +148,17 @@ def mixed_chain(g, store, queries, cfg, patterns, exclusions, plain, cached=True
     ``cached`` False every state is marked incomplete, so that each step
     extends its frontier node by node instead of reading the tree's levels.
     """
-    def table(i):
-        return np.array([store.cost_vector(q[i], g.id_array) for q in queries])
+    table = lockstep_tables(g, store, queries)
 
     def conf(i):
         return LocalizerConfig() if i < plain else cfg
 
-    states = [start_candidates(g, table(0), exclusions, conf(0))]
+    states = [start_candidates(g, table[0], exclusions, conf(0))]
     for i in range(1, len(queries[0])):
         states[-1].complete &= cached
         bits = (None if patterns is None or i < plain
                 else [turns[i - 1] for turns in patterns])
-        states.append(advance_candidates(states[-1], table(i), bits, conf(i)))
+        states.append(advance_candidates(states[-1], table[i], bits, conf(i)))
     return states
 
 
@@ -265,7 +273,7 @@ def oracle_ranking(query, routes, store, graph=None, turns=None):
     for r in routes:
         if turns is not None and turn_pattern(r, graph) != tuple(turns):
             continue
-        d = sum(float(np.linalg.norm(query[i] - store.vectors[store.row_of(loc)]))
+        d = sum(float(np.linalg.norm(query[i] - store.vectors[store.rows_of(loc)]))
                 for i, loc in enumerate(r))
         scored.append((d, tuple(r)))
     scored.sort()
@@ -419,9 +427,9 @@ class TestStepping:
         store = make_store(tee_graph, seed=17)
         q = np.random.default_rng(18).normal(0, 1, (2, DIM))
         cfg = LocalizerConfig()
-        state = start_candidates(tee_graph, store.cost_vector(q[0], tee_graph.id_array),
-                                 ("tunnel",), cfg)
-        state = localize_step(state, q[1], None, tee_graph, store, cfg)
+        costs = cost_table(tee_graph, store, q)
+        state = start_candidates(tee_graph, costs[0], ("tunnel",), cfg)
+        state = advance_candidates(state, costs[1], None, cfg)
         visited = {loc for route, _ in state.ranked() for loc in route}
         assert 2 not in visited
         want = localize_full(q, enumerate_routes(tee_graph, 2, ("tunnel",)), store)
@@ -432,20 +440,14 @@ class TestStepping:
         store = make_store(path_graph, seed=19)
         q = np.random.default_rng(20).normal(0, 1, (3, DIM))
         cfg = LocalizerConfig()
-        state = start_candidates(path_graph, store.cost_vector(q[0], path_graph.id_array),
-                                 (), cfg)
-        state = localize_step(state, q[1], 0, path_graph, store, cfg)
+        costs = cost_table(path_graph, store, q)
+        state = start_candidates(path_graph, costs[0], (), cfg)
+        state = advance_candidates(state, costs[1], 0, cfg)
         assert state.size > 0
-        state = localize_step(state, q[2], 1, path_graph, store, cfg)
+        state = advance_candidates(state, costs[2], 1, cfg)
         assert state.size == 0 and state.ranked() == []
-        state = localize_step(state, q[2], 0, path_graph, store, cfg)
+        state = advance_candidates(state, costs[2], 0, cfg)
         assert state.size == 0
-
-    def test_graph_mismatch(self, path_graph, tee_graph):
-        store = make_store(path_graph)
-        state = start_candidates(path_graph, np.zeros(5))
-        with pytest.raises(ValueError, match="different graph"):
-            localize_step(state, np.zeros(DIM), None, tee_graph, store)
 
     def test_cost_vector_length_checked(self, path_graph):
         with pytest.raises(ValueError, match="one entry per location"):
@@ -511,12 +513,8 @@ class TestCulling:
         store = make_store(g, seed=21)
         q = np.random.default_rng(22).normal(0, 1, (3, DIM))
         cfg = LocalizerConfig(cull_fraction=0.5, cull_floor=5)
-        state = start_candidates(g, store.cost_vector(q[0], g.id_array), (), cfg)
-        for i in (1, 2):
-            state = localize_step(state, q[i], None, g, store, cfg)
-        plain = start_candidates(g, store.cost_vector(q[0], g.id_array))
-        for i in (1, 2):
-            plain = localize_step(plain, q[i], None, g, store)
+        state = run_chain(g, store, q, cfg)
+        plain = run_chain(g, store, q, LocalizerConfig())
         assert state.size < plain.size
         # Every culled survivor appears in the exhaustive set with equal cost.
         want = dict(plain.ranked())
@@ -553,12 +551,12 @@ class TestLockstep:
         together = lockstep_chain(g, store, queries, cfg, patterns, excl)
         for q, query in enumerate(queries):
             turns = None if patterns is None else patterns[q]
-            alone = start_candidates(fresh, store.cost_vector(query[0], fresh.id_array),
-                                     excl, cfg)
+            costs = cost_table(fresh, store, query)
+            alone = start_candidates(fresh, costs[0], excl, cfg)
             for i, state in enumerate(together):
                 if i:
                     bit = None if turns is None else turns[i - 1]
-                    alone = localize_step(alone, query[i], bit, fresh, store, cfg)
+                    alone = advance_candidates(alone, costs[i], bit, cfg)
                 assert state.queries == len(queries)
                 assert state.sizes[q] == alone.size
                 assert state.ranked(q=q) == alone.ranked()

@@ -28,8 +28,8 @@ def per_row_ranks(queries, truth, refs):
     """Ranks from one single-query distance vector per query."""
     ranks = []
     for q, t in zip(queries, truth):
-        d = refs.distances_to(q)
-        dt = d[refs.row_of(int(t))]
+        d = refs.distance_matrix(q[None])[0]
+        dt = d[refs.rows_of(t)]
         ranks.append(int(np.sum(d < dt) + np.sum((d == dt) & (refs.ids < t))) + 1)
     return ranks
 
@@ -49,7 +49,7 @@ class TestTruthRanks:
         assert [lo for lo, _ in blocks] == list(range(0, 30, block))
         for lo, d in blocks:
             for i, row in enumerate(d, lo):
-                np.testing.assert_array_equal(row, refs.distances_to(queries[i]))
+                np.testing.assert_array_equal(row, refs.distance_matrix(queries[i:i + 1])[0])
 
     def test_matches_exhaustive_sort(self):
         rng = np.random.default_rng(10)
@@ -118,9 +118,9 @@ class TestTopkPercentRecall:
         with pytest.raises(KeyError, match="no point"):
             curve.recall_at(10)
 
-    @pytest.mark.parametrize("ks", [[], [0], [101], [-5]])
+    @pytest.mark.parametrize("ks", [[], [0], [101], [-5], [float("nan")], [50, float("nan")]])
     def test_bad_ks(self, line_refs, ks):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="k value|k percentages"):
             topk_percent_recall(np.zeros((1, 1)), [0], line_refs, ks)
 
     def test_write_csv(self, tmp_path, line_refs):

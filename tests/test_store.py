@@ -46,12 +46,12 @@ class TestConstruction:
 class TestLookup:
     def test_row_of(self, store):
         for row, loc in enumerate([3, 7, 19, 40]):
-            assert store.row_of(loc) == row
+            assert store.rows_of(loc) == row
 
     @pytest.mark.parametrize("missing", [0, 8, 41, 1000])
     def test_row_of_missing(self, store, missing):
         with pytest.raises(KeyError, match=str(missing)):
-            store.row_of(missing)
+            store.rows_of(missing)
 
     def test_rows_of(self, store):
         np.testing.assert_array_equal(store.rows_of([40, 3, 19]), [3, 0, 2])
@@ -65,24 +65,18 @@ class TestLookup:
 class TestDistances:
     def test_distances_match_loop(self, store):
         q = np.linspace(-1.0, 1.0, store.dim)
-        got = store.distances_to(q)
+        got = store.distance_matrix(q[None])[0]
         want = [float(np.linalg.norm(v - q)) for v in store.vectors]
         np.testing.assert_allclose(got, want, rtol=1e-15)
 
     def test_zero_distance_to_member(self, store):
-        d = store.distances_to(store.vectors[store.row_of(19)])
-        assert d[store.row_of(19)] == 0.0
-
-    def test_cost_vector_follows_id_order(self, store):
-        q = np.ones(store.dim)
-        order = [19, 40, 3]
-        got = store.cost_vector(q, order)
-        want = [float(np.linalg.norm(store.vectors[store.row_of(i)] - q)) for i in order]
-        np.testing.assert_allclose(got, want, rtol=1e-15)
+        row = store.rows_of(19)
+        d = store.distance_matrix(store.vectors[row][None])[0]
+        assert d[row] == 0.0
 
     def test_query_shape_error(self, store):
-        with pytest.raises(ValueError, match="does not match store dim"):
-            store.distances_to(np.ones(store.dim + 1))
+        with pytest.raises(ValueError, match="does not match"):
+            store.distance_matrix(np.ones((1, store.dim + 1)))
 
 
 def per_row_norms(vectors, queries):
@@ -112,11 +106,11 @@ class TestDistanceMatrix:
         np.testing.assert_allclose(got, per_row_norms(store.vectors, queries),
                                    rtol=1e-13, atol=0.0)
 
-    def test_one_row_case_is_distances_to(self, store):
+    def test_one_row_case_equals_its_row(self, store):
         queries = np.random.default_rng(1).normal(0.0, 1.0, (3, store.dim))
         table = store.distance_matrix(queries)
         for q, row in zip(queries, table):
-            np.testing.assert_array_equal(store.distances_to(q), row)
+            np.testing.assert_array_equal(store.distance_matrix(q[None])[0], row)
 
     def test_duplicate_rows_bit_equal(self):
         rng = np.random.default_rng(2)

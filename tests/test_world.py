@@ -250,7 +250,7 @@ def reference_index(g):
     """The row-space arrays built location by location, through a dict from id to row."""
     locs = list(g.locations())
     n = len(locs)
-    row_of = {loc.id: r for r, loc in enumerate(locs)}
+    row_by_id = {loc.id: r for r, loc in enumerate(locs)}
     ids = np.array([loc.id for loc in locs], dtype=np.int64)
     pos = np.empty((n, 2), dtype=np.float64)
     max_deg = max((len(loc.neighbors) for loc in locs), default=0)
@@ -259,7 +259,7 @@ def reference_index(g):
     for r, loc in enumerate(locs):
         pos[r] = loc.position
         for j, nb in enumerate(sorted(loc.neighbors)):
-            nbr[r, j] = row_of[nb]
+            nbr[r, j] = row_by_id[nb]
         for t, name in enumerate(TAG_NAMES):
             tags[r, t] = name in loc.tags
     return dict(zip(INDEX, (ids, pos, nbr, tags)))
@@ -306,6 +306,20 @@ class TestIndexArrays:
         with pytest.raises(ValueError, match="read-only"):
             g.tag_matrix[:, TAG_NAMES.index("tunnel")] = True
         assert start_candidates(g, np.zeros(len(g)), ("tunnel",)).size == len(g)
+
+    @pytest.mark.parametrize("name", INDEX)
+    def test_index_cannot_be_rebound(self, name):
+        g = generate_synthetic_world(SyntheticWorldConfig(node_count=60, seed=4))
+        before = getattr(g, name)
+        with pytest.raises(AttributeError, match=name):
+            setattr(g, name, np.ones((len(g), len(TAG_NAMES)), dtype=bool))
+        assert getattr(g, name) is before
+        # A graph whose index is not built yet refuses it too.
+        fresh = MapGraph(g.locations())
+        with pytest.raises(AttributeError, match=name):
+            setattr(fresh, name, before)
+        assert name not in vars(fresh)
+        assert start_candidates(fresh, np.zeros(len(g)), ("tunnel",)).size == len(g)
 
     def test_saving_builds_no_index(self, tee_graph, tmp_path):
         g = MapGraph(tee_graph.locations())
