@@ -29,7 +29,6 @@ from .embedding import (
     DEFAULT_ALPHA,
     DEFAULT_AUGMENTATIONS,
     DEFAULT_BATCH_LOCATIONS,
-    DEFAULT_DIM,
     DEFAULT_SCALE,
     AugmentationConfig,
     BatchGradients,

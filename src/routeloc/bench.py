@@ -25,6 +25,8 @@ import numpy as np
 
 from .baselines import BsdNoise, hamming_cost_vector, map_code_matrix, simulate_query_codes
 from .embedding import (
+    DEFAULT_EPOCHS,
+    DEFAULT_LR,
     AugmentationConfig,
     Encoder,
     LossConfig,
@@ -34,11 +36,12 @@ from .embedding import (
     train_encoders,
 )
 from .localizer import LocalizerConfig, advance_candidates, check_success, start_candidates
-from .store import DescriptorStore
+from .store import DescriptorStore, StoreFormatError
 from .synth import SyntheticWorldConfig, generate_synthetic_world
 from .world import TAG_NAMES, MapGraph, check_whole, load_graph, turn_pattern, write_csv
 
 METHODS = ("ES", "ES+T", "BSD", "BSD+T", "T-only")
+EMBEDDING_METHODS = ("ES", "ES+T")
 
 DEFAULT_EXCLUSIONS = ("tunnel", "motorway")
 
@@ -57,8 +60,8 @@ class SimulationError(RuntimeError):
 class TrainParams:
     """Encoder training knobs used when a method needs embeddings."""
 
-    epochs: int = 10
-    lr: float = 0.2
+    epochs: int = DEFAULT_EPOCHS
+    lr: float = DEFAULT_LR
 
     def __post_init__(self):
         check_schedule(self.epochs, self.lr)
@@ -154,18 +157,23 @@ class AccuracyReport:
 
     @classmethod
     def read_meta(cls, path) -> "AccuracyReport":
+        """Read a ``write_meta`` file; StoreFormatError naming ``path`` if it is not one."""
         with open(path, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-        lengths = [int(m) for m in payload["lengths"]]
-        return cls(
-            method=payload["method"],
-            lengths=lengths,
-            top1={m: float(payload["top1"][str(m)]) for m in lengths},
-            top5={m: float(payload["top5"][str(m)]) for m in lengths},
-            localized_top1={m: frozenset(payload["localized_top1"][str(m)]) for m in lengths},
-            localized_top5={m: frozenset(payload["localized_top5"][str(m)]) for m in lengths},
-            meta=payload.get("meta", {}),
-        )
+            text = fh.read()
+        try:
+            payload = json.loads(text)
+            lengths = [int(m) for m in payload["lengths"]]
+            return cls(
+                method=payload["method"],
+                lengths=lengths,
+                top1={m: float(payload["top1"][str(m)]) for m in lengths},
+                top5={m: float(payload["top5"][str(m)]) for m in lengths},
+                localized_top1={m: frozenset(payload["localized_top1"][str(m)]) for m in lengths},
+                localized_top5={m: frozenset(payload["localized_top5"][str(m)]) for m in lengths},
+                meta=payload.get("meta", {}),
+            )
+        except (KeyError, TypeError, ValueError) as exc:
+            raise StoreFormatError(f"{path}: not a sweep report: {exc}") from None
 
 
 def difference_score(set_a, set_b) -> float:
@@ -176,7 +184,8 @@ def difference_score(set_a, set_b) -> float:
     return len(a - b) / len(a)
 
 
-def simulate_routes(g: MapGraph, count: int = 500, max_length: int = 20,
+def simulate_routes(g: MapGraph, count: int = ExperimentConfig.route_count,
+                    max_length: int = ExperimentConfig.max_length,
                     exclusions=DEFAULT_EXCLUSIONS, seed: int = 0) -> list:
     """Sample ground-truth routes by seeded random walk.
 
@@ -220,6 +229,13 @@ def simulate_routes(g: MapGraph, count: int = 500, max_length: int = 20,
     return routes
 
 
+def train_sweep_encoders(cfg: ExperimentConfig, g: MapGraph,
+                         views: WorldViews | None = None) -> tuple[Encoder, Encoder]:
+    """The (g_enc, f_enc) of ``cfg``'s embedding method; missing views follow ``cfg.seed``."""
+    return train_encoders(g, LossConfig(), AugmentationConfig(), epochs=cfg.train.epochs,
+                          lr=cfg.train.lr, seed=cfg.seed, views=views)
+
+
 def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
                    views: WorldViews | None = None,
                    encoders: tuple[Encoder, Encoder] | None = None) -> AccuracyReport:
@@ -227,7 +243,8 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
 
     ``graph``, ``views`` and ``encoders`` may be supplied to reuse expensive
     artifacts across experiments; anything missing is built from the config
-    (encoders are trained only for embedding-based methods).
+    (views from ``cfg.seed``, and encoders by ``train_sweep_encoders``, only
+    for embedding-based methods).
 
     Routes are searched in chunks: one candidate set advances a chunk's
     routes in lockstep to ``max_length``, then each route of the chunk is
@@ -260,7 +277,7 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
         lap("world")
     g = graph
 
-    use_embeddings = cfg.method in ("ES", "ES+T")
+    use_embeddings = cfg.method in EMBEDDING_METHODS
     use_bsd = cfg.method in ("BSD", "BSD+T")
     with_turns = cfg.method in ("ES+T", "BSD+T", "T-only")
     loss_cfg = LossConfig()
@@ -269,16 +286,12 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
     f_enc = None
     if use_embeddings:
         if views is None:
-            views = WorldViews.from_graph(g)
+            views = WorldViews.from_graph(g, cfg.seed)
             lap("views")
         if encoders is None:
-            g_enc, f_enc = train_encoders(
-                g, loss_cfg, AugmentationConfig(), epochs=cfg.train.epochs, lr=cfg.train.lr,
-                seed=cfg.seed, views=views,
-            )
+            encoders = train_sweep_encoders(cfg, g, views)
             lap("training")
-        else:
-            g_enc, f_enc = encoders
+        g_enc, f_enc = encoders
         # Map-side reference store over S1 tiles; views.ids is the graph's id order.
         store = DescriptorStore(views.ids, encode_batch(views.map_s1, g_enc, loss_cfg))
 

@@ -14,7 +14,7 @@ import zipfile
 
 import numpy as np
 
-from . import bench as bench_mod
+from . import bench as bench_mod, embedding as emb_mod
 from .embedding import (
     AugmentationConfig,
     Encoder,
@@ -26,57 +26,66 @@ from .embedding import (
 )
 from .localizer import LocalizerConfig, advance_candidates, start_candidates, write_ranked_csv
 from .retrieval import (
+    DEFAULT_BIN_COUNT,
     distance_blocks,
     distance_histograms,
     precision_recall_curve,
     topk_percent_recall,
 )
 from .store import DescriptorStore, StoreFormatError
-from .synth import SyntheticWorldConfig, generate_synthetic_world
+from .synth import LAYOUTS, SyntheticWorldConfig, generate_synthetic_world
 from .world import GraphFormatError, GraphInvariantError, load_graph, save_graph
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``routeloc`` parser; each command's flags default to the library's defaults."""
     parser = argparse.ArgumentParser(prog="routeloc", description=__doc__)
     sub = parser.add_subparsers(dest="group", required=True)
+
+    def command(group, name, handler, summary):
+        """A subcommand parser that carries ``handler`` as ``args.command``."""
+        cmd = group.add_parser(name, help=summary)
+        cmd.set_defaults(command=handler)
+        return cmd
 
     # world ------------------------------------------------------------
     world = sub.add_parser("world", help="generate or inspect map graphs")
     wsub = world.add_subparsers(dest="action", required=True)
 
-    gen = wsub.add_parser("gen", help="generate a synthetic world")
-    gen.add_argument("--layout", choices=("grid", "random-planar"), default="grid")
-    gen.add_argument("--nodes", type=int, default=100)
-    gen.add_argument("--spacing", type=float, default=10.0)
-    gen.add_argument("--edge-drop", type=float, default=0.0)
-    gen.add_argument("--latent-dim", type=int, default=16)
-    gen.add_argument("--block-len", type=int, default=1)
+    gen = command(wsub, "gen", _cmd_world_gen, "generate a synthetic world")
+    gen.add_argument("--layout", choices=LAYOUTS, default=SyntheticWorldConfig.layout)
+    gen.add_argument("--nodes", type=int, default=SyntheticWorldConfig.node_count)
+    gen.add_argument("--spacing", type=float, default=SyntheticWorldConfig.spacing)
+    gen.add_argument("--edge-drop", type=float, default=SyntheticWorldConfig.edge_drop_prob)
+    gen.add_argument("--latent-dim", type=int, default=SyntheticWorldConfig.latent_dim)
+    gen.add_argument("--block-len", type=int, default=SyntheticWorldConfig.block_len)
     gen.add_argument("--tag-density", action="append", default=[],
                      metavar="TAG=P", help="per-tag density, repeatable")
-    gen.add_argument("--seed", type=int, default=0)
+    gen.add_argument("--seed", type=int, default=SyntheticWorldConfig.seed)
     gen.add_argument("--out", required=True, help="output directory")
 
-    load = wsub.add_parser("load", help="validate a graph file and print a summary")
+    load = command(wsub, "load", _cmd_world_load, "validate a graph file and print a summary")
     load.add_argument("path")
 
     # embed ------------------------------------------------------------
     embed = sub.add_parser("embed", help="train encoders and export descriptor stores")
     esub = embed.add_subparsers(dest="action", required=True)
 
-    tr = esub.add_parser("train", help="train the two encoders on a world")
+    tr = command(esub, "train", _cmd_embed_train, "train the two encoders on a world")
     tr.add_argument("--graph", required=True)
-    tr.add_argument("--epochs", type=int, default=10)
-    tr.add_argument("--lr", type=float, default=0.2)
-    tr.add_argument("--alpha", type=float, default=0.2)
-    tr.add_argument("--scale", type=float, default=32.0)
-    tr.add_argument("--dim", type=int, default=16)
-    tr.add_argument("--nb", type=int, default=10)
-    tr.add_argument("--k", type=int, default=5)
-    tr.add_argument("--jitter", type=float, default=0.05)
-    tr.add_argument("--seed", type=int, default=0)
+    tr.add_argument("--epochs", type=int, default=emb_mod.DEFAULT_EPOCHS)
+    tr.add_argument("--lr", type=float, default=emb_mod.DEFAULT_LR)
+    tr.add_argument("--alpha", type=float, default=LossConfig.alpha)
+    tr.add_argument("--scale", type=float, default=LossConfig.scale)
+    tr.add_argument("--dim", type=int, default=LossConfig.dim)
+    tr.add_argument("--nb", type=int, default=emb_mod.DEFAULT_BATCH_LOCATIONS)
+    tr.add_argument("--k", type=int, default=emb_mod.DEFAULT_AUGMENTATIONS)
+    tr.add_argument("--jitter", type=float, default=AugmentationConfig.jitter_sigma)
+    tr.add_argument("--seed", type=int, default=emb_mod.DEFAULT_SEED)
     tr.add_argument("--out", required=True, help="output directory")
 
-    ex = esub.add_parser("export", help="export per-location descriptors to a store file")
+    ex = command(esub, "export", _cmd_embed_export,
+                 "export per-location descriptors to a store file")
     ex.add_argument("--graph", required=True)
     ex.add_argument("--encoders", required=True, help="encoders.npz from embed train")
     ex.add_argument("--domain", choices=("map", "image"), default="map")
@@ -90,17 +99,17 @@ def build_parser() -> argparse.ArgumentParser:
     ev = sub.add_parser("eval", help="retrieval metrics over descriptor stores")
     evsub = ev.add_subparsers(dest="action", required=True)
 
-    rc = evsub.add_parser("recall", help="top-k% recall, query ids are truth ids")
+    rc = command(evsub, "recall", _cmd_eval_recall, "top-k% recall, query ids are truth ids")
     rc.add_argument("--queries", required=True)
     rc.add_argument("--refs", required=True)
     rc.add_argument("--ks", default="1,2,5,10", help="comma-joined k percentages")
     rc.add_argument("--out", required=True, help="output directory")
 
-    pr = evsub.add_parser("pr", help="precision/recall and histograms over pair distances")
+    pr = command(evsub, "pr", _cmd_eval_pr, "precision/recall and histograms over pair distances")
     pr.add_argument("--queries", required=True)
     pr.add_argument("--refs", required=True)
     pr.add_argument("--thresholds", type=int, default=64)
-    pr.add_argument("--bins", type=int, default=32)
+    pr.add_argument("--bins", type=int, default=DEFAULT_BIN_COUNT)
     pr.add_argument("--unmatched-per-query", type=int, default=9)
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--out", required=True, help="output directory")
@@ -108,14 +117,14 @@ def build_parser() -> argparse.ArgumentParser:
     # localize ----------------------------------------------------------
     loc = sub.add_parser("localize", help="rank candidate routes for one query")
     lsub = loc.add_subparsers(dest="action", required=True)
-    run = lsub.add_parser("run", help="rank every route that fits one query sequence")
+    run = command(lsub, "run", _cmd_localize_run, "rank every route that fits one query sequence")
     run.add_argument("--graph", required=True)
     run.add_argument("--store", required=True, help="map-side descriptor store")
     run.add_argument("--query", required=True,
                      help="store file whose ids 0..m-1 are the ordered query descriptors")
     run.add_argument("--turns", default=None,
                      help="comma-joined query turn bits; filters routes by turn pattern")
-    run.add_argument("--exclude", default="tunnel,motorway",
+    run.add_argument("--exclude", default=",".join(bench_mod.DEFAULT_EXCLUSIONS),
                      help="comma-joined excluded tags (empty string for none)")
     run.add_argument("--top-k", type=int, default=None)
     run.add_argument("--out", required=True, help="output directory")
@@ -124,20 +133,21 @@ def build_parser() -> argparse.ArgumentParser:
     be = sub.add_parser("bench", help="accuracy sweeps and report comparison")
     bsub = be.add_subparsers(dest="action", required=True)
 
-    sw = bsub.add_parser("sweep", help="run methods over simulated routes")
+    sw = command(bsub, "sweep", _cmd_bench_sweep, "run methods over simulated routes")
     sw.add_argument("--graph", required=True)
-    sw.add_argument("--methods", default="ES", help="comma-joined method names")
-    sw.add_argument("--routes", type=int, default=500)
-    sw.add_argument("--max-length", type=int, default=20)
-    sw.add_argument("--sigma", type=float, default=0.0)
-    sw.add_argument("--epochs", type=int, default=10)
-    sw.add_argument("--lr", type=float, default=0.2)
-    sw.add_argument("--cull-fraction", type=float, default=0.0)
-    sw.add_argument("--cull-floor", type=int, default=100)
-    sw.add_argument("--seed", type=int, default=0)
+    sw.add_argument("--methods", default=bench_mod.ExperimentConfig.method,
+                    help="comma-joined method names")
+    sw.add_argument("--routes", type=int, default=bench_mod.ExperimentConfig.route_count)
+    sw.add_argument("--max-length", type=int, default=bench_mod.ExperimentConfig.max_length)
+    sw.add_argument("--sigma", type=float, default=bench_mod.NoiseParams.sigma)
+    sw.add_argument("--epochs", type=int, default=bench_mod.TrainParams.epochs)
+    sw.add_argument("--lr", type=float, default=bench_mod.TrainParams.lr)
+    sw.add_argument("--cull-fraction", type=float, default=LocalizerConfig.cull_fraction)
+    sw.add_argument("--cull-floor", type=int, default=LocalizerConfig.cull_floor)
+    sw.add_argument("--seed", type=int, default=bench_mod.ExperimentConfig.seed)
     sw.add_argument("--out", required=True, help="output directory")
 
-    df = bsub.add_parser("diff", help="difference scores between two sweep reports")
+    df = command(bsub, "diff", _cmd_bench_diff, "difference scores between two sweep reports")
     df.add_argument("report_a")
     df.add_argument("report_b")
     df.add_argument("--length", type=int, required=True)
@@ -198,10 +208,9 @@ def _cmd_embed_train(args):
     g = load_graph(args.graph)
     cfg = LossConfig(alpha=args.alpha, scale=args.scale, dim=args.dim)
     aug = AugmentationConfig(jitter_sigma=args.jitter)
-    views = WorldViews.from_graph(g, seed=args.seed)
     g_enc, f_enc, history = train_encoders(
         g, cfg, aug, epochs=args.epochs, lr=args.lr, seed=args.seed,
-        n_b=args.nb, k=args.k, views=views, return_history=True,
+        n_b=args.nb, k=args.k, return_history=True,
     )
     os.makedirs(args.out, exist_ok=True)
     path = os.path.join(args.out, "encoders.npz")
@@ -265,6 +274,8 @@ def _cmd_eval_recall(args):
 
 
 def _cmd_eval_pr(args):
+    if args.unmatched_per_query < 1:
+        raise ValueError(f"--unmatched-per-query must be >= 1, got {args.unmatched_per_query}")
     queries = DescriptorStore.load(args.queries)
     refs = DescriptorStore.load(args.refs)
     rng = np.random.default_rng(args.seed)
@@ -336,36 +347,28 @@ def _cmd_bench_sweep(args):
             route_count=args.routes,
             max_length=args.max_length,
             noise=bench_mod.NoiseParams(sigma=args.sigma),
-            localizer=LocalizerConfig(
-                cull_fraction=args.cull_fraction, cull_floor=args.cull_floor,
-            ),
+            localizer=LocalizerConfig(cull_fraction=args.cull_fraction, cull_floor=args.cull_floor),
             train=bench_mod.TrainParams(epochs=args.epochs, lr=args.lr),
             seed=args.seed,
         )
         for method in args.methods.split(",") if method
     ]
+    if not configs:
+        raise ValueError(f"--methods names no method, got {args.methods!r}")
     g = load_graph(args.graph)
-    views = WorldViews.from_graph(g, seed=args.seed)
-    encoders = None
-    if any(cfg.method in ("ES", "ES+T") for cfg in configs):
-        encoders = train_encoders(
-            g, LossConfig(), AugmentationConfig(), epochs=args.epochs, lr=args.lr,
-            seed=args.seed, views=views,
-        )
+    # The embedding methods share one seed and schedule, so one training serves them all.
+    embedded = [cfg for cfg in configs if cfg.method in bench_mod.EMBEDDING_METHODS]
+    encoders = bench_mod.train_sweep_encoders(embedded[0], g) if embedded else None
     os.makedirs(args.out, exist_ok=True)
-    written = []
     for cfg in configs:
-        report = bench_mod.run_experiment(cfg, graph=g, views=views, encoders=encoders)
+        report = bench_mod.run_experiment(cfg, graph=g, encoders=encoders)
         stem = cfg.method.replace("+", "_plus_").replace("-", "_")
-        csv_path = os.path.join(args.out, f"{stem}.csv")
-        meta_path = os.path.join(args.out, f"{stem}.json")
-        report.write_csv(csv_path)
-        report.write_meta(meta_path)
-        written.append(csv_path)
+        report.write_csv(os.path.join(args.out, f"{stem}.csv"))
+        report.write_meta(os.path.join(args.out, f"{stem}.json"))
         final = report.lengths[-1]
         print(f"{cfg.method}: top1@{final}={report.top1[final]:.3f} "
               f"top5@{final}={report.top5[final]:.3f} ({report.meta['runtime_s']}s)")
-    print(f"wrote {len(written) * 2} files under {args.out}")
+    print(f"wrote {len(configs) * 2} files under {args.out}")
     return 0
 
 
@@ -380,18 +383,6 @@ def _cmd_bench_diff(args):
     print(f"S_d({b.method} -> {a.method}) = {d_ba:.4f}")
     return 0
 
-
-_COMMANDS = {
-    ("world", "gen"): _cmd_world_gen,
-    ("world", "load"): _cmd_world_load,
-    ("embed", "train"): _cmd_embed_train,
-    ("embed", "export"): _cmd_embed_export,
-    ("eval", "recall"): _cmd_eval_recall,
-    ("eval", "pr"): _cmd_eval_pr,
-    ("localize", "run"): _cmd_localize_run,
-    ("bench", "sweep"): _cmd_bench_sweep,
-    ("bench", "diff"): _cmd_bench_diff,
-}
 
 _ERROR_CATEGORIES = (
     (GraphFormatError, "format"),
@@ -408,9 +399,8 @@ _ERROR_CATEGORIES = (
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    command = _COMMANDS[(args.group, args.action)]
     try:
-        return command(args)
+        return args.command(args)
     except Exception as exc:  # categorized error line, nonzero exit
         for klass, label in _ERROR_CATEGORIES:
             if isinstance(exc, klass):

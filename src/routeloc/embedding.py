@@ -21,9 +21,11 @@ from .world import MapGraph, check_whole, rows_in
 
 DEFAULT_ALPHA = 0.2
 DEFAULT_SCALE = 32.0
-DEFAULT_DIM = 16
 DEFAULT_BATCH_LOCATIONS = 10
 DEFAULT_AUGMENTATIONS = 5
+DEFAULT_EPOCHS = 10
+DEFAULT_LR = 0.2
+DEFAULT_SEED = 0
 # Scale of the gaussian noise that sets each view apart from the graph latents.
 VIEW_SIGMA = 0.1
 
@@ -108,7 +110,7 @@ class LossConfig:
     alpha: float = DEFAULT_ALPHA
     lambdas: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
     scale: float = DEFAULT_SCALE
-    dim: int = DEFAULT_DIM
+    dim: int = 16
 
     def __post_init__(self):
         if not 0 < self.alpha < math.inf:
@@ -189,7 +191,7 @@ class WorldViews:
     image: np.ndarray    # (N, d) image-side latents
 
     @classmethod
-    def from_graph(cls, g: MapGraph, seed: int = 0) -> "WorldViews":
+    def from_graph(cls, g: MapGraph, seed: int = DEFAULT_SEED) -> "WorldViews":
         """Derive views from graph latents: each adds gaussian noise of scale ``VIEW_SIGMA``."""
         base = g.latent_matrix()
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 101]))
@@ -370,7 +372,8 @@ def check_schedule(epochs, lr) -> None:
 
 
 def train_encoders(g: MapGraph, cfg: LossConfig, aug: AugmentationConfig,
-                   epochs: int = 10, lr: float = 0.2, seed: int = 0, *,
+                   epochs: int = DEFAULT_EPOCHS, lr: float = DEFAULT_LR,
+                   seed: int = DEFAULT_SEED, *,
                    n_b: int = DEFAULT_BATCH_LOCATIONS, k: int = DEFAULT_AUGMENTATIONS,
                    views: WorldViews | None = None, train_rows=None,
                    return_history: bool = False):
@@ -379,8 +382,9 @@ def train_encoders(g: MapGraph, cfg: LossConfig, aug: AugmentationConfig,
     Each epoch replays the same deterministic batch schedule (shuffle and
     augmentation draws are reseeded per epoch), so runs are reproducible and
     a zero learning rate leaves both the encoders and the per-epoch loss
-    unchanged.  Raises TrainingDiverged on a non-finite loss, or when an
-    encoder's output grows past the float range.
+    unchanged.  Missing ``views`` are derived from ``seed``.  Raises
+    TrainingDiverged on a non-finite loss, or when an encoder's output grows
+    past the float range.
 
     Returns (g_enc, f_enc), or (g_enc, f_enc, epoch_losses) when
     ``return_history`` is set.
@@ -389,7 +393,7 @@ def train_encoders(g: MapGraph, cfg: LossConfig, aug: AugmentationConfig,
     check_whole("n_b", n_b, 2)
     check_whole("k", k, 1)
     if views is None:
-        views = WorldViews.from_graph(g)
+        views = WorldViews.from_graph(g, seed)
     rows = np.arange(len(views.ids)) if train_rows is None else np.asarray(train_rows)
     if len(rows) < n_b:
         raise ValueError(f"need at least n_b={n_b} training locations, got {len(rows)}")

@@ -373,17 +373,12 @@ class CandidateSet:
         The first call for a given k selects and rebuilds the top k of every
         query in one pass, so a chunk of routes pays that pass once a step.
         """
-        self._segment(q)
+        if not 0 <= q < self.queries:
+            raise IndexError(f"query {q} out of range for {self.queries} queries")
         tops = self._tops.get(k)
         if tops is None:
             tops = self._tops[k] = self._select(k)
         return list(tops[q])
-
-    def _segment(self, q: int) -> tuple:
-        """(start, end) positions of query q's candidates."""
-        if not 0 <= q < len(self._bounds) - 1:
-            raise IndexError(f"query {q} out of range for {self.queries} queries")
-        return self._bounds[q], self._bounds[q + 1]
 
     def _select(self, k: int) -> list:
         """Every query's top-k list, via partial selection within each segment."""

@@ -16,6 +16,7 @@ from .world import write_csv
 
 # Query rows per block of query-to-reference distances.
 ROW_BLOCK = 256
+DEFAULT_BIN_COUNT = 32
 
 
 @dataclass
@@ -138,7 +139,8 @@ def precision_recall_curve(matched_d, unmatched_d, thresholds) -> PrCurve:
     return PrCurve(points)
 
 
-def distance_histograms(matched_d, unmatched_d, bin_count: int = 32) -> DistHistogram:
+def distance_histograms(matched_d, unmatched_d,
+                        bin_count: int = DEFAULT_BIN_COUNT) -> DistHistogram:
     """Histogram both distance populations over shared edges spanning [0, max]."""
     m = np.asarray(matched_d, dtype=np.float64)
     u = np.asarray(unmatched_d, dtype=np.float64)

@@ -20,7 +20,7 @@ MAGIC = b"EMB1"
 
 
 class StoreFormatError(ValueError):
-    """Raised when a descriptor store file or an encoder archive is malformed."""
+    """Raised when a descriptor store file, an encoder archive or a sweep report is malformed."""
 
 
 class DescriptorStore:

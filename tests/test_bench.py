@@ -294,7 +294,7 @@ class TestRunExperiment:
         cfg = small_cfg(method="ES")
         auto = run_experiment(cfg)
         g = generate_synthetic_world(cfg.world)
-        views = WorldViews.from_graph(g)
+        views = WorldViews.from_graph(g, cfg.seed)
         encs = train_encoders(
             g, LossConfig(), AugmentationConfig(),
             epochs=cfg.train.epochs, lr=cfg.train.lr, seed=cfg.seed, views=views,
@@ -397,7 +397,7 @@ class TestLockstepChunks:
         assert [m for m, _ in tops] == list(range(4, 9)) * 6
         # encode_batch: the map store once, then each route's views in route order.
         g = generate_synthetic_world(WORLD)
-        views = WorldViews.from_graph(g)
+        views = WorldViews.from_graph(g, cfg.seed)
         routes = simulate_routes(g, 6, 8, cfg.exclusions, cfg.seed)
         assert len(latents) == 7
         np.testing.assert_array_equal(latents[0], views.map_s1)

@@ -1,5 +1,6 @@
 """Command-line interface: pipeline subcommands and categorized errors."""
 import csv
+import inspect
 import json
 from unittest import mock
 
@@ -8,16 +9,26 @@ import pytest
 
 from routeloc import embedding, localizer, retrieval
 from routeloc import (
+    AccuracyReport,
+    AugmentationConfig,
     DescriptorStore,
+    ExperimentConfig,
+    LossConfig,
+    NoiseParams,
+    SyntheticWorldConfig,
+    TrainParams,
     WorldViews,
     enumerate_routes,
     distance_histograms,
     load_graph,
     localize_full,
     precision_recall_curve,
+    run_experiment,
+    train_encoders,
     turn_pattern,
     write_ranked_csv,
 )
+from routeloc.bench import DEFAULT_EXCLUSIONS
 from routeloc.cli import main
 
 
@@ -227,6 +238,16 @@ class TestEvalCommands:
         for name in ("pr.csv", "histogram.csv"):
             assert (tmp_path / "cli" / name).read_bytes() == (tmp_path / "loop" / name).read_bytes()
 
+    @pytest.mark.parametrize("value", ["0", "-1"])
+    def test_pr_rejects_unmatched_below_one(self, tmp_path, capsys, value):
+        # Checked before the stores load: the missing files would be error[io].
+        assert main(["eval", "pr", "--queries", str(tmp_path / "absent.emb"),
+                     "--refs", str(tmp_path / "absent.emb"), "--unmatched-per-query", value,
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == (
+            f"error[config]: --unmatched-per-query must be >= 1, got {value}\n")
+        assert not (tmp_path / "out").exists()
+
     def test_recall_unknown_truth_id(self, pipeline, tmp_path, capsys):
         bogus = tmp_path / "bogus.emb"
         refs = DescriptorStore.load(pipeline["map_store"])
@@ -402,7 +423,7 @@ class TestBenchCommands:
         def train(*args, **kwargs):
             raise AssertionError("encoders trained before the settings were checked")
 
-        monkeypatch.setattr("routeloc.cli.train_encoders", train)
+        monkeypatch.setattr("routeloc.bench.train_sweep_encoders", train)
         ret = main(["bench", "sweep", "--graph", str(pipeline["graph"]), "--methods", "ES",
                     *setting, "--out", str(tmp_path / "out")])
         assert ret == 2
@@ -420,10 +441,53 @@ class TestBenchCommands:
         monkeypatch.setattr(WorldViews, "from_graph", spy)
         assert main([
             "bench", "sweep", "--graph", str(pipeline["graph"]),
-            "--methods", "T-only", "--routes", "2", "--max-length", "5",
-            "--seed", "7", "--out", str(tmp_path),
+            "--methods", "ES", "--routes", "2", "--max-length", "5",
+            "--epochs", "1", "--seed", "7", "--out", str(tmp_path),
         ]) == 0
-        assert seeds == [7]
+        assert seeds and set(seeds) == {7}
+
+    def test_sweep_of_no_method_is_config(self, pipeline, tmp_path, capsys, monkeypatch):
+        def load(*args, **kwargs):
+            raise AssertionError("graph loaded for a sweep of no method")
+
+        monkeypatch.setattr("routeloc.cli.load_graph", load)
+        ret = main(["bench", "sweep", "--graph", str(pipeline["graph"]), "--methods", ",",
+                    "--out", str(tmp_path / "out")])
+        assert ret == 2
+        assert capsys.readouterr().err.startswith("error[config]: --methods names no method")
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_reports_equal_run_experiment(self, tmp_path):
+        # The CLI's sweep and run_experiment given only the config are one recipe.
+        world = tmp_path / "world"
+        assert main(["world", "gen", "--nodes", "60", "--seed", "4", "--out", str(world)]) == 0
+        graph = str(world / "graph.txt")
+        methods = ("ES", "ES+T", "BSD", "T-only")
+        assert main([
+            "bench", "sweep", "--graph", graph, "--methods", ",".join(methods),
+            "--routes", "20", "--max-length", "7", "--sigma", "1.0", "--epochs", "2",
+            "--seed", "3", "--out", str(tmp_path / "out"),
+        ]) == 0
+        for method in methods:
+            stem = method.replace("+", "_plus_").replace("-", "_")
+            cli = AccuracyReport.read_meta(tmp_path / "out" / f"{stem}.json")
+            api = run_experiment(ExperimentConfig(
+                world=graph, method=method, route_count=20, max_length=7,
+                noise=NoiseParams(sigma=1.0), train=TrainParams(epochs=2), seed=3,
+            ))
+            for name in ("lengths", "top1", "top5", "localized_top1", "localized_top5"):
+                assert getattr(cli, name) == getattr(api, name), (method, name)
+
+    @pytest.mark.parametrize("case", ["array", "truncated", "no_lengths"])
+    def test_malformed_report_is_format(self, sweep_dir, tmp_path, capsys, case):
+        text = (sweep_dir / "ES.json").read_text()
+        path = tmp_path / "bad.json"
+        path.write_text({"array": "[1, 2]", "truncated": text[:len(text) // 2],
+                         "no_lengths": '{"method": "ES"}'}[case])
+        assert main(["bench", "diff", str(path), str(sweep_dir / "ES.json"),
+                     "--length", "6"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[format]: {path}: not a sweep report")
 
     def test_simulation_failure(self, tmp_path, capsys):
         world = tmp_path / "tiny"
@@ -520,3 +584,73 @@ class TestErrorReporting:
     def test_argparse_rejects_unknown_subcommand(self):
         with pytest.raises(SystemExit):
             main(["world", "explode"])
+
+
+def _defaults(func, *names):
+    """``func``'s default value of each parameter in ``names``."""
+    params = inspect.signature(func).parameters
+    return {name: params[name].default for name in names}
+
+
+class _Called(Exception):
+    """Stops a command at the library call that a test records."""
+
+
+class TestDefaults:
+    """Given only its required flags, each command calls the library as a default call would."""
+
+    @staticmethod
+    def record(monkeypatch, target):
+        """Replace ``target`` with a stand-in that records its call and stops the command."""
+        calls = []
+
+        def stand_in(*args, **kwargs):
+            calls.append((args, kwargs))
+            raise _Called
+
+        monkeypatch.setattr(target, stand_in)
+        return calls
+
+    def test_world_gen(self, monkeypatch, tmp_path):
+        calls = self.record(monkeypatch, "routeloc.cli.generate_synthetic_world")
+        with pytest.raises(_Called):
+            main(["world", "gen", "--out", str(tmp_path)])
+        assert calls == [((SyntheticWorldConfig(),), {})]
+
+    def test_embed_train(self, monkeypatch, tmp_path):
+        monkeypatch.setattr("routeloc.cli.load_graph", lambda path: "graph")
+        calls = self.record(monkeypatch, "routeloc.cli.train_encoders")
+        with pytest.raises(_Called):
+            main(["embed", "train", "--graph", "g", "--out", str(tmp_path)])
+        schedule = _defaults(train_encoders, "epochs", "lr", "seed", "n_b", "k")
+        assert calls == [(("graph", LossConfig(), AugmentationConfig()),
+                          {**schedule, "return_history": True})]
+
+    def test_eval_pr(self, pipeline, monkeypatch, tmp_path):
+        calls = self.record(monkeypatch, "routeloc.cli.distance_histograms")
+        with pytest.raises(_Called):
+            main(["eval", "pr", "--queries", str(pipeline["image_store"]),
+                  "--refs", str(pipeline["map_store"]), "--out", str(tmp_path)])
+        (args, _), = calls
+        assert args[2:] == (_defaults(distance_histograms, "bin_count")["bin_count"],)
+
+    def test_localize_run(self, pipeline, monkeypatch, tmp_path):
+        refs = DescriptorStore.load(pipeline["map_store"])
+        query = tmp_path / "query.emb"
+        DescriptorStore(np.arange(2), refs.vectors[:2]).save(query)
+        calls = self.record(monkeypatch, "routeloc.cli.start_candidates")
+        with pytest.raises(_Called):
+            main(["localize", "run", "--graph", str(pipeline["graph"]),
+                  "--store", str(pipeline["map_store"]), "--query", str(query),
+                  "--out", str(tmp_path)])
+        (args, _), = calls
+        assert args[2] == DEFAULT_EXCLUSIONS
+
+    def test_bench_sweep(self, monkeypatch, tmp_path):
+        monkeypatch.setattr("routeloc.cli.load_graph", lambda path: "graph")
+        calls = self.record(monkeypatch, "routeloc.bench.train_sweep_encoders")
+        with pytest.raises(_Called):
+            main(["bench", "sweep", "--graph", "g", "--out", str(tmp_path)])
+        assert calls == [((ExperimentConfig(world="g"), "graph"), {})]
+        # The default sweep trains as train_encoders does by default.
+        assert TrainParams() == TrainParams(**_defaults(train_encoders, "epochs", "lr"))
