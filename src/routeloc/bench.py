@@ -38,7 +38,7 @@ from .embedding import (
 from .localizer import LocalizerConfig, advance_candidates, check_success, start_candidates
 from .store import DescriptorStore, StoreFormatError
 from .synth import SyntheticWorldConfig, generate_synthetic_world
-from .world import TAG_NAMES, MapGraph, check_whole, load_graph, turn_pattern, write_csv
+from .world import MapGraph, check_whole, load_graph, turn_pattern, write_csv
 
 METHODS = ("ES", "ES+T", "BSD", "BSD+T", "T-only")
 EMBEDDING_METHODS = ("ES", "ES+T")
@@ -100,7 +100,6 @@ class ExperimentConfig:
     method: str = "ES"
     route_count: int = 500
     max_length: int = 20
-    exclusions: tuple = DEFAULT_EXCLUSIONS
     success_window: int = 5
     noise: NoiseParams = field(default_factory=NoiseParams)
     localizer: LocalizerConfig = field(default_factory=LocalizerConfig)
@@ -113,13 +112,11 @@ class ExperimentConfig:
         check_whole("route_count", self.route_count, 1)
         check_whole("success_window", self.success_window, 1)
         check_whole("max_length", self.max_length, 1)
+        check_whole("seed", self.seed, 0)
         if self.max_length < self.success_window:
             raise ValueError(
                 f"max_length {self.max_length} must be >= success_window {self.success_window}"
             )
-        unknown = set(self.exclusions) - set(TAG_NAMES)
-        if unknown:
-            raise ValueError(f"unknown exclusion tags {sorted(unknown)}")
 
 
 @dataclass
@@ -136,6 +133,9 @@ class AccuracyReport:
 
     def localized(self, length: int, k: int = 1) -> frozenset:
         table = self.localized_top1 if k == 1 else self.localized_top5
+        if length not in table:
+            raise ValueError(f"length {length} is not in the {self.method} report, "
+                             f"which holds lengths {self.lengths}")
         return table[length]
 
     def write_csv(self, path) -> None:
@@ -185,20 +185,18 @@ def difference_score(set_a, set_b) -> float:
 
 
 def simulate_routes(g: MapGraph, count: int = ExperimentConfig.route_count,
-                    max_length: int = ExperimentConfig.max_length,
-                    exclusions=DEFAULT_EXCLUSIONS, seed: int = 0) -> list:
+                    max_length: int = ExperimentConfig.max_length, seed: int = 0) -> list:
     """Sample ground-truth routes by seeded random walk.
 
-    Walks start uniformly over non-excluded locations and extend uniformly
-    over legal next locations; walks that dead-end before ``max_length`` are
-    discarded and retried.  Raises SimulationError with a diagnostic when
+    Walks start uniformly over the locations free of ``DEFAULT_EXCLUSIONS``
+    and extend uniformly over legal next locations; walks that dead-end
+    before ``max_length`` are discarded and retried.  Raises SimulationError with a diagnostic when
     the attempt budget (200 per requested route) runs out.
     """
     if count < 1 or max_length < 1:
         raise ValueError(f"count and max_length must be positive, got ({count}, {max_length})")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), 11]))
-    excl = frozenset(exclusions)
-    allowed_ids = g.id_array[g.allowed_mask(excl)].tolist()
+    allowed_ids = g.id_array[g.allowed_mask(DEFAULT_EXCLUSIONS)].tolist()
     if not allowed_ids:
         raise SimulationError("no locations remain after applying exclusions")
     allowed = set(allowed_ids)
@@ -210,7 +208,7 @@ def simulate_routes(g: MapGraph, count: int = ExperimentConfig.route_count,
             raise SimulationError(
                 f"exhausted {budget} attempts while simulating routes "
                 f"({len(routes)}/{count} found; max_length={max_length} may be "
-                f"unreachable under exclusions {sorted(excl)})"
+                f"unreachable under exclusions {sorted(DEFAULT_EXCLUSIONS)})"
             )
         attempts += 1
         start = allowed_ids[int(rng.integers(len(allowed_ids)))]
@@ -297,7 +295,7 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
 
     codes = map_code_matrix(g) if use_bsd else None
 
-    routes = simulate_routes(g, cfg.route_count, cfg.max_length, cfg.exclusions, cfg.seed)
+    routes = simulate_routes(g, cfg.route_count, cfg.max_length, cfg.seed)
     lap("costs")
 
     lengths = list(range(cfg.success_window, cfg.max_length + 1))
@@ -338,7 +336,7 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
             costs = costs_at(m - 1)
             lap("costs")
             if m == 1:
-                state = start_candidates(g, costs, cfg.exclusions, cfg.localizer)
+                state = start_candidates(g, costs, DEFAULT_EXCLUSIONS, cfg.localizer)
             else:
                 bits = None if qbits is None else qbits[:, m - 2]
                 state = advance_candidates(state, costs, bits, cfg.localizer)
@@ -387,7 +385,7 @@ def run_experiment(cfg: ExperimentConfig, *, graph: MapGraph | None = None,
             "seed": cfg.seed,
             "sigma": cfg.noise.sigma,
             "outlier_prob": cfg.noise.outlier_prob,
-            "exclusions": sorted(cfg.exclusions),
+            "exclusions": sorted(DEFAULT_EXCLUSIONS),
             "cull_fraction": cfg.localizer.cull_fraction,
             "cull_floor": cfg.localizer.cull_floor,
             "world_size": len(g),

@@ -274,8 +274,10 @@ def _cmd_eval_recall(args):
 
 
 def _cmd_eval_pr(args):
-    if args.unmatched_per_query < 1:
-        raise ValueError(f"--unmatched-per-query must be >= 1, got {args.unmatched_per_query}")
+    for flag, value, least in (("--thresholds", args.thresholds, 1), ("--seed", args.seed, 0),
+                               ("--unmatched-per-query", args.unmatched_per_query, 1)):
+        if value < least:
+            raise ValueError(f"{flag} must be >= {least}, got {value}")
     queries = DescriptorStore.load(args.queries)
     refs = DescriptorStore.load(args.refs)
     rng = np.random.default_rng(args.seed)
@@ -290,6 +292,9 @@ def _cmd_eval_pr(args):
             unmatched.extend(d[rng.choice(others, size=take, replace=False)])
     matched = np.array(matched)
     unmatched = np.array(unmatched)
+    if not unmatched.size:
+        raise ValueError("no query has an unmatched reference: each query's only reference "
+                         "is its match")
     hi = float(max(matched.max(), unmatched.max()))
     thresholds = np.linspace(0.0, hi, args.thresholds)
     curve = precision_recall_curve(matched, unmatched, thresholds)

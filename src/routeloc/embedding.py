@@ -45,19 +45,16 @@ class _NormOverflow(ValueError):
 # ----------------------------------------------------------------------
 
 
-def normalize_scale(v, scale: float = DEFAULT_SCALE) -> np.ndarray:
-    """Project v onto the sphere of radius ``scale``: scale * v / ||v||.
+def normalize_scale(v) -> np.ndarray:
+    """Project v onto the sphere of radius ``DEFAULT_SCALE``: DEFAULT_SCALE * v / ||v||.
 
     The one-vector case of the normalization ``encode_batch`` applies.
-    Rejects zero or non-finite vectors, vectors whose norm overflows, and
-    non-positive scales.
+    Rejects zero or non-finite vectors and vectors whose norm overflows.
     """
-    if not scale > 0:
-        raise ValueError(f"scale must be positive, got {scale}")
     v = np.asarray(v, dtype=np.float64)
     if not np.isfinite(v).all():
         raise ValueError("cannot normalize a non-finite vector")
-    return _normalized(v, scale)[0]
+    return _normalized(v, DEFAULT_SCALE)[0]
 
 
 def soft_margin_loss(d, alpha: float = DEFAULT_ALPHA):
@@ -193,6 +190,7 @@ class WorldViews:
     @classmethod
     def from_graph(cls, g: MapGraph, seed: int = DEFAULT_SEED) -> "WorldViews":
         """Derive views from graph latents: each adds gaussian noise of scale ``VIEW_SIGMA``."""
+        check_whole("seed", seed, 0)
         base = g.latent_matrix()
         rng = np.random.default_rng(np.random.SeedSequence([int(seed), 101]))
         map_s1, map_s2, image = (base + VIEW_SIGMA * rng.standard_normal(base.shape)
@@ -211,7 +209,6 @@ class WorldViews:
 class TrainBatch:
     """One training batch: n_b locations, k augmented latents per domain each."""
 
-    location_ids: np.ndarray   # (n_b,)
     map_latents: np.ndarray    # (n_b, k, d)
     image_latents: np.ndarray  # (n_b, k, d)
 
@@ -249,7 +246,7 @@ def build_batch(views: WorldViews, rows, aug: AugmentationConfig,
     base_map = np.where(pick[..., None] == 0, s1, s2)
     map_lat = base_map + aug.jitter_sigma * rng.standard_normal((n_b, k, d))
     img_lat = views.image[rows][:, None, :] + aug.jitter_sigma * rng.standard_normal((n_b, k, d))
-    return TrainBatch(location_ids=views.ids[rows], map_latents=map_lat, image_latents=img_lat)
+    return TrainBatch(map_latents=map_lat, image_latents=img_lat)
 
 
 # ----------------------------------------------------------------------
@@ -392,6 +389,7 @@ def train_encoders(g: MapGraph, cfg: LossConfig, aug: AugmentationConfig,
     check_schedule(epochs, lr)
     check_whole("n_b", n_b, 2)
     check_whole("k", k, 1)
+    check_whole("seed", seed, 0)
     if views is None:
         views = WorldViews.from_graph(g, seed)
     rows = np.arange(len(views.ids)) if train_rows is None else np.asarray(train_rows)

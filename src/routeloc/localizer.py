@@ -363,9 +363,9 @@ class CandidateSet:
         """Candidates of each query."""
         return self._bounds[1:] - self._bounds[:-1]
 
-    def ranked(self, top_k: int | None = None, q: int = 0) -> list:
-        """Query q's full (route, distance) ranking, cut to ``top_k`` if set."""
-        return self.top(self.size if top_k is None else top_k, q)
+    def ranked(self, top_k: int | None = None) -> list:
+        """Query 0's full (route, distance) ranking, cut to ``top_k`` if set."""
+        return self.top(self.size if top_k is None else top_k)
 
     def top(self, k: int, q: int = 0) -> list:
         """First k of query q's ranking.
@@ -544,7 +544,7 @@ def localize_full(query: RouteDescriptor, routes, store: DescriptorStore) -> lis
     return list(zip(map(tuple, matrix[order].tolist()), dists[order].tolist()))
 
 
-def check_success(estimated: Route, truth: Route, window: int = 5) -> bool:
+def check_success(estimated: Route, truth: Route, window: int) -> bool:
     """True when the last ``window`` location ids agree position-wise."""
     if window < 1:
         raise ValueError(f"window must be >= 1, got {window}")

@@ -69,6 +69,7 @@ class SyntheticWorldConfig:
             raise ValueError(f"edge_drop_prob must be in [0, 1), got {self.edge_drop_prob}")
         check_whole("latent_dim", self.latent_dim, 1)
         check_whole("block_len", self.block_len, 1)
+        check_whole("seed", self.seed, 0)
         unknown = set(self.tag_densities) - set(TAG_NAMES)
         if unknown:
             raise ValueError(f"unknown tags in tag_densities: {sorted(unknown)}")

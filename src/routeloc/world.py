@@ -110,11 +110,12 @@ class Location:
 class MapGraph:
     """Immutable undirected graph of locations.
 
-    The constructor validates structural invariants (unique ids, symmetric
-    adjacency, resolvable neighbor ids, uniform latent dimension) and
-    computes ``spacing`` as the mean edge length in meters.  Instances are
-    treated as read-only after construction; the row-space arrays for
-    vectorized consumers are built on first use, cached and read-only.
+    The constructor validates structural invariants (unique ids, finite
+    positions and latents, symmetric adjacency, resolvable neighbor ids,
+    uniform latent dimension) and computes ``spacing`` as the mean edge
+    length in meters.  Instances are treated as read-only after
+    construction; the row-space arrays for vectorized consumers are built
+    on first use, cached and read-only.
     """
 
     def __init__(self, locations: Iterable[Location]):
@@ -139,9 +140,6 @@ class MapGraph:
 
     def __len__(self) -> int:
         return len(self._locs)
-
-    def __contains__(self, loc_id: int) -> bool:
-        return loc_id in self._locs
 
     def location(self, loc_id: int) -> Location:
         try:
@@ -181,6 +179,10 @@ class MapGraph:
         for loc in self._locs.values():
             if loc.id < 0:
                 raise GraphInvariantError(f"negative location id {loc.id}")
+            if not all(map(math.isfinite, loc.position)):
+                raise GraphInvariantError(
+                    f"location {loc.id}: position {loc.position!r} is not finite"
+                )
             if not (0.0 <= loc.heading < 360.0):
                 raise GraphInvariantError(
                     f"location {loc.id}: heading {loc.heading!r} outside [0, 360)"
@@ -219,6 +221,13 @@ class MapGraph:
             if missing:
                 raise GraphInvariantError(
                     f"location {missing[0]}: latent missing while others have one"
+                )
+            # One pass over the stacked latents: a check per location costs
+            # as much as building the graph.
+            finite = np.isfinite(self.latent_matrix().reshape(len(self), -1)).all(axis=1)
+            if not finite.all():
+                raise GraphInvariantError(
+                    f"location {self.id_array[np.argmin(finite)]}: latent is not finite"
                 )
         if self.edge_count() > 0 and not self.spacing > 0.0:
             raise GraphInvariantError("spacing must be positive for a graph with edges")

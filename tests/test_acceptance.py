@@ -91,7 +91,6 @@ def test_01_analytic_gradients_match_finite_differences():
                         dim=dim,
                     )
                     batch = TrainBatch(
-                        np.arange(n_b),
                         rng.normal(0.0, 1.0, (n_b, k, dim)),
                         rng.normal(0.0, 1.0, (n_b, k, dim)),
                     )

@@ -119,15 +119,6 @@ class TestConfigs:
                                success_window=np.int64(5))
         assert (cfg.route_count, cfg.max_length, cfg.success_window) == (3, 6, 5)
 
-    def test_unknown_exclusion_fails_before_training(self):
-        # A misspelt tag fails at the config, before any training or simulation.
-        with mock.patch.object(bench, "train_encoders") as train, \
-                mock.patch.object(bench, "simulate_routes") as simulate:
-            with pytest.raises(ValueError, match=r"unknown exclusion tags \['tunel'\]"):
-                run_experiment(small_cfg(method="ES", exclusions=("tunel", "motorway")))
-        train.assert_not_called()
-        simulate.assert_not_called()
-
 
 @pytest.fixture(scope="module")
 def world():
@@ -157,35 +148,28 @@ class TestSimulateRoutes:
         )
         tunnels = {loc.id for loc in g.locations() if "tunnel" in loc.tags}
         assert tunnels
-        routes = simulate_routes(g, count=10, max_length=5,
-                                 exclusions=("tunnel",), seed=5)
+        routes = simulate_routes(g, count=10, max_length=5, seed=5)
         assert all(tunnels.isdisjoint(r) for r in routes)
 
     # Routes the generator gives on a world with ids 5, 8, 11, ... and some
-    # tunnels and motorways, by (seed, exclusions); pinned so that its RNG
-    # draws and the order of its options stay as they are.
+    # tunnels and motorways, by seed; pinned so that its RNG draws and the
+    # order of its options stay as they are.
     PINNED = {
-        (0, ()): [(47, 50, 20, 17, 14, 11), (116, 119, 89, 86, 83, 80),
-                  (212, 209, 206, 236, 233, 203)],
-        (0, bench.DEFAULT_EXCLUSIONS): [(137, 134, 164, 161, 158, 188),
-                                        (173, 170, 200, 230, 233, 263),
-                                        (200, 170, 140, 110, 80, 83)],
-        (9, ()): [(278, 248, 218, 221, 224, 254), (95, 98, 101, 131, 134, 137),
-                  (296, 266, 236, 206, 209, 212)],
-        (9, bench.DEFAULT_EXCLUSIONS): [(11, 41, 44, 74, 77, 47),
-                                        (125, 128, 158, 188, 191, 194),
-                                        (296, 266, 263, 233, 230, 260)],
+        0: [(137, 134, 164, 161, 158, 188), (173, 170, 200, 230, 233, 263),
+            (200, 170, 140, 110, 80, 83)],
+        9: [(11, 41, 44, 74, 77, 47), (125, 128, 158, 188, 191, 194),
+            (296, 266, 263, 233, 230, 260)],
     }
 
-    @pytest.mark.parametrize("seed, exclusions", list(PINNED))
-    def test_pinned_routes(self, seed, exclusions):
+    @pytest.mark.parametrize("seed", list(PINNED))
+    def test_pinned_routes(self, seed):
         g = generate_synthetic_world(dataclasses.replace(
             WORLD, node_count=100, tag_densities={"tunnel": 0.2, "motorway": 0.1}))
         g = MapGraph([dataclasses.replace(loc, id=3 * loc.id + 5,
                                           neighbors=tuple(3 * n + 5 for n in loc.neighbors))
                       for loc in g.locations()])
-        routes = simulate_routes(g, count=3, max_length=6, exclusions=exclusions, seed=seed)
-        assert routes == self.PINNED[seed, exclusions]
+        routes = simulate_routes(g, count=3, max_length=6, seed=seed)
+        assert routes == self.PINNED[seed]
         assert all(type(i) is int for r in routes for i in r)
 
     def test_unreachable_length(self, path_graph):
@@ -198,8 +182,7 @@ class TestSimulateRoutes:
             Location(1, (10.0, 0.0), 0.0, (0,), frozenset({"tunnel"})),
         ]
         with pytest.raises(SimulationError, match="no locations remain"):
-            simulate_routes(MapGraph(locs), count=1, max_length=2,
-                            exclusions=("tunnel",), seed=0)
+            simulate_routes(MapGraph(locs), count=1, max_length=2, seed=0)
 
     def test_validation(self, path_graph):
         with pytest.raises(ValueError, match="positive"):
@@ -398,7 +381,7 @@ class TestLockstepChunks:
         # encode_batch: the map store once, then each route's views in route order.
         g = generate_synthetic_world(WORLD)
         views = WorldViews.from_graph(g, cfg.seed)
-        routes = simulate_routes(g, 6, 8, cfg.exclusions, cfg.seed)
+        routes = simulate_routes(g, 6, 8, cfg.seed)
         assert len(latents) == 7
         np.testing.assert_array_equal(latents[0], views.map_s1)
         for lat, route in zip(latents[1:], routes):

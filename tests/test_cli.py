@@ -248,6 +248,15 @@ class TestEvalCommands:
             f"error[config]: --unmatched-per-query must be >= 1, got {value}\n")
         assert not (tmp_path / "out").exists()
 
+    def test_pr_without_an_unmatched_reference(self, tmp_path, capsys):
+        store = tmp_path / "one.emb"
+        DescriptorStore([3], np.ones((1, 4))).save(store)
+        assert main(["eval", "pr", "--queries", str(store), "--refs", str(store),
+                     "--out", str(tmp_path / "out")]) == 2
+        assert capsys.readouterr().err == ("error[config]: no query has an unmatched "
+                                           "reference: each query's only reference is its match\n")
+        assert not (tmp_path / "out").exists()
+
     def test_recall_unknown_truth_id(self, pipeline, tmp_path, capsys):
         bogus = tmp_path / "bogus.emb"
         refs = DescriptorStore.load(pipeline["map_store"])
@@ -408,6 +417,12 @@ class TestBenchCommands:
             assert ret == 0
             assert err.out.count("S_d(") == 2
 
+    def test_diff_at_a_length_the_report_lacks(self, sweep_dir, capsys):
+        report = str(sweep_dir / "T_only.json")
+        assert main(["bench", "diff", report, report, "--length", "9"]) == 2
+        assert capsys.readouterr().err == (
+            "error[config]: length 9 is not in the T-only report, which holds lengths [5, 6]\n")
+
     def test_unknown_method(self, pipeline, tmp_path, capsys):
         ret = main([
             "bench", "sweep", "--graph", str(pipeline["graph"]),
@@ -553,6 +568,27 @@ class TestErrorReporting:
         assert main([arg.format(**paths) for arg in command]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error[io]:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("command, setting", [
+        (["world", "gen", "--seed", "-1"], "seed"),
+        (["embed", "train", "--graph", "{graph}", "--seed", "-1"], "seed"),
+        (["embed", "export", "--graph", "{graph}", "--encoders", "{encoders}", "--seed", "-1"],
+         "seed"),
+        # Checked before the graph or the stores are read: they are missing here.
+        (["bench", "sweep", "--graph", "{absent}", "--seed", "-1"], "seed"),
+        (["eval", "pr", "--queries", "{absent}", "--refs", "{absent}", "--seed", "-1"], "--seed"),
+        (["eval", "pr", "--queries", "{absent}", "--refs", "{absent}", "--thresholds", "-1"],
+         "--thresholds"),
+    ])
+    def test_bad_seed_or_threshold_count_is_config(self, pipeline, tmp_path, capsys, command,
+                                                   setting):
+        paths = dict(graph=pipeline["graph"], encoders=pipeline["encoders"],
+                     absent=tmp_path / "absent")
+        assert main([arg.format(**paths) for arg in command]
+                    + ["--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error[config]: {setting} must be ") and err.count("\n") == 1
+        assert "Traceback" not in err and not (tmp_path / "out").exists()
 
     @staticmethod
     def malformed_encoders(pipeline, tmp_path, case):

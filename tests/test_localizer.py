@@ -559,7 +559,7 @@ class TestLockstep:
                     alone = advance_candidates(alone, costs[i], bit, cfg)
                 assert state.queries == len(queries)
                 assert state.sizes[q] == alone.size
-                assert state.ranked(q=q) == alone.ranked()
+                assert state.top(state.sizes[q], q) == alone.ranked()
                 for k in (0, 1, 3, alone.size + 2):
                     assert state.top(k, q) == alone.top(k)
         assert together[-1].size == sum(together[-1].sizes)
@@ -580,7 +580,7 @@ class TestLockstep:
         g = MapGraph([])
         state = start_candidates(g, np.zeros((2, 0)))
         state = advance_candidates(state, np.zeros((2, 0)), [0, 1])
-        assert list(state.sizes) == [0, 0] and state.ranked(q=1) == []
+        assert list(state.sizes) == [0, 0] and state.top(state.sizes[1], 1) == []
 
     def test_shapes_checked(self, tee_graph):
         state = start_candidates(tee_graph, np.zeros((2, 4)))
@@ -593,7 +593,7 @@ class TestLockstep:
         with pytest.raises(IndexError, match="query 2"):
             state.top(5, 2)
         with pytest.raises(IndexError, match="query -1"):
-            state.ranked(q=-1)
+            state.top(5, -1)
 
 
 class TestBudget:
@@ -915,7 +915,7 @@ class TestLevels:
         for a, b in zip(cached, uncached):
             assert list(a.sizes) == list(b.sizes)
             for q in range(len(queries)):
-                assert a.ranked(q=q) == b.ranked(q=q)
+                assert a.top(a.sizes[q], q) == b.top(b.sizes[q], q)
                 assert a.top(2, q) == b.top(2, q)
 
 

@@ -31,7 +31,6 @@ class TestMapGraph:
     def test_basic_access(self, tee_graph):
         g = tee_graph
         assert len(g) == 4
-        assert 2 in g and 99 not in g
         assert g.neighbors_of(1) == (0, 2, 3)
         assert g.edge_count() == 3
         assert [loc.id for loc in g.locations()] == [0, 1, 2, 3]
@@ -125,6 +124,20 @@ class TestValidation:
             Location(1, (1.0, 0.0), 0.0, (0,)),
         ]
         with pytest.raises(GraphInvariantError, match="latent missing"):
+            MapGraph(locs)
+
+    @pytest.mark.parametrize("position", [(np.inf, 0.0), (0.0, -np.inf), (np.nan, 0.0)])
+    def test_non_finite_position(self, position):
+        with pytest.raises(GraphInvariantError, match=r"location 0: position .* is not finite"):
+            MapGraph(self._pair(position=position))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_latent(self, bad):
+        locs = [
+            Location(0, (0.0, 0.0), 0.0, (1,), latent=np.zeros(3)),
+            Location(1, (1.0, 0.0), 0.0, (0,), latent=np.array([0.0, bad, 0.0])),
+        ]
+        with pytest.raises(GraphInvariantError, match="location 1: latent is not finite"):
             MapGraph(locs)
 
 
