@@ -132,6 +132,8 @@ class AccuracyReport:
     meta: dict = field(default_factory=dict)
 
     def localized(self, length: int, k: int = 1) -> frozenset:
+        if k not in (1, 5):
+            raise ValueError(f"k must be 1 or 5, got {k}")
         table = self.localized_top1 if k == 1 else self.localized_top5
         if length not in table:
             raise ValueError(f"length {length} is not in the {self.method} report, "

@@ -16,18 +16,20 @@ the tree is built on demand, once per (graph, exclusion set), and cached
 by graph: it is shared by every query and freed with the graph.  Each
 node records its parent, so any node's route can be read back from the
 tree.  A step has a structural half, which gathers the children of the
-current frontier (their node ids and graph rows, and each frontier node's
-child count), and a query half, which repeats each parent's distance over
-its children, drops children whose turn bit disagrees with the query's
-when the query's turn bits are given, adds their costs and culls the worst
+current frontier, less those whose turn bit disagrees with the query's
+when the query's turn bits are given (their node ids and graph rows, and
+how many each frontier node keeps), and a query half, which repeats each
+parent's distance over its children, adds their costs and culls the worst
 candidates.  Only frontier nodes that no earlier query reached are
 expanded.
 
-A frontier that no step has turn-filtered or culled since the start is
-complete: it holds every route of its length, in lexicographic order, so
-its structural half is the same for every query.  The tree keeps that half
-for each length a complete search has reached, and later complete
-searches take it from there instead of gathering it again.
+A search that no step has culled since the start stays on the tree's
+levels: each query's frontier holds every route of its length whose turn
+bits match the ones the query has filtered on, in lexicographic order, so
+its structural half is the same for every query with that turn-bit prefix.
+The tree keeps that half, keyed by the prefix, for each frontier such a
+search has reached, and later searches with the same prefix take it from
+there instead of extending and turn-filtering again.
 
 One candidate set can search Q queries in lockstep.  Its frontier holds
 every query's candidates as one array, in (query, lexicographic route)
@@ -122,15 +124,24 @@ class RouteTree:
     the positions a cycle can reach.  The girth is found lazily, only as
     deep as the expansions need (see ``_cycle_free_lengths``).
 
-    ``levels[m]`` is the structural half of the step that builds the
-    complete frontier of length m, every route of m locations in
-    lexicographic order: ``(child, rows, counts)``, the routes' node ids,
-    the graph rows of their last locations and the child count of each
-    route of ``levels[m - 1]``.  ``levels[1]`` is the roots, all children
-    of the empty route a search starts from, so its counts are
-    ``[roots]``; ``levels[m + 1]`` is filled by the first step taken from a
-    complete frontier of length m, with the arrays that step computes, and
-    is then held for as long as the tree.
+    ``levels`` holds the structural half of the unculled steps searches
+    have taken, keyed by the turn bits they filtered on: the key of a
+    frontier of m locations has one entry per step, that step's query turn
+    bit, or None for a step that did not filter, so the complete frontier's
+    key is all None.  ``levels[key]`` is every route whose turn bits match
+    the key where it holds a bit, in lexicographic order, as ``(nodes,
+    rows, counts)``: the routes' node ids, the graph rows of their last
+    locations and the child count, among them, of each route of
+    ``levels[key[:-1]]``.  A level whose node ids form one run is held as
+    ``(range(first, end), None, counts)`` and its rows are sliced from
+    ``row`` when it is used; a held view of ``row`` would keep an old copy
+    alive after ``_reserve``.  ``levels[(None,)]`` is the roots, all
+    children of the empty route a search starts from, so its counts are
+    ``[roots]``.  A level is filled by the first step that reaches it and
+    then held for as long as the tree, except an empty one, which is never
+    held.  A search that filters at every step after the first, or at none,
+    reads levels that are disjoint sets of nodes at each length, besides
+    the complete one, so the levels hold at most two entries per node.
 
     Nothing here depends on a query, and the threshold is fixed, so one tree
     serves every search over the graph with the same exclusion set (see
@@ -190,8 +201,7 @@ class RouteTree:
         self.first = np.full(self.size, -1, dtype=np.int32)
         self.count = np.zeros(self.size, dtype=count_type)
         self.step = np.full(self.size, deg, dtype=step_type)
-        self.levels = {1: (np.arange(self.roots, dtype=np.int32), self.row.copy(),
-                           np.array([self.roots]))}
+        self.levels = {(None,): (range(self.roots), None, np.array([self.roots]))}
         # hops[e, f]: a route that arrived by edge e can go on by edge f, over
         # the edges a route can arrive by (between allowed rows), numbered in order.
         usable = (came >= 0) & allowed[er] & allowed[came]
@@ -325,25 +335,26 @@ class CandidateSet:
     """Candidate routes of one length for Q queries: route-tree nodes and distances.
 
     The set holds one frontier: ``_nodes``, the tree nodes of its routes of
-    ``length_m`` locations, and ``_dists``, their summed costs.  The first
-    step is taken from a frontier of one empty route per query, at
-    distance 0, which has no nodes.  Query q's candidates sit at positions
+    ``length_m`` locations (a ``range`` when they are one run of ids), and
+    ``_dists``, their summed costs.  The first step is taken from a
+    frontier of one empty route per query, at distance 0, which has no
+    nodes.  Query q's candidates sit at positions
     ``_bounds[q]:_bounds[q+1]``, listed in lexicographic route order, so
     among equal distances the earlier position ranks first.  Routes are read
     back from the tree only for the nodes a ranking asks for.
 
-    ``complete`` is true when no step since the start has turn-filtered or
-    culled the set: every query's segment is then ``tree.levels[m]``, all
-    routes of length m, and the next step takes its children from the
-    tree's levels.
+    ``keys`` holds each query's level key while no step since the start
+    has culled the set, and is None once one has: query q's segment is then
+    ``tree.levels[keys[q]]``, or empty where the tree holds no such level,
+    and the next step takes its children from the tree's levels.
     """
 
     def __init__(self, graph: MapGraph, tree: RouteTree, length_m: int, nodes: np.ndarray,
-                 dists: np.ndarray, bounds: np.ndarray, complete: bool):
+                 dists: np.ndarray, bounds: np.ndarray, keys: list | None):
         self.graph = graph
         self.tree = tree
         self.length_m = length_m
-        self.complete = complete
+        self.keys = keys
         self._nodes = nodes
         self._dists = dists
         self._bounds = bounds
@@ -393,7 +404,9 @@ class CandidateSet:
 
     def _listing(self, pos: np.ndarray) -> list:
         """(route, distance) pairs of the candidates at frontier positions ``pos``."""
-        ids = self.graph.id_array[self.tree.walks(self._nodes[pos], self.length_m).T]
+        nodes = self._nodes
+        ends = pos + nodes.start if isinstance(nodes, range) else nodes[pos]
+        ids = self.graph.id_array[self.tree.walks(ends, self.length_m).T]
         return list(zip(map(tuple, ids.tolist()), self._dists[pos].tolist()))
 
 
@@ -407,7 +420,7 @@ def start_candidates(g: MapGraph, costs, exclusions: Iterable[str] = (),
     """
     queries = len(_check_costs(g, costs))
     empty = CandidateSet(g, route_tree(g, exclusions), 0, None, np.zeros(queries),
-                         np.arange(queries + 1), True)
+                         np.arange(queries + 1), [()] * queries)
     return advance_candidates(empty, costs, None, cfg)
 
 
@@ -425,6 +438,7 @@ def advance_candidates(state: CandidateSet, costs, next_turn_bit=None,
     query, each 0 or 1.
     """
     costs = _check_costs(state.graph, costs, state.queries)
+    bits = None
     if next_turn_bit is not None:
         bits = np.asarray(next_turn_bit)
         if bits.shape not in ((), (state.queries,)):
@@ -432,59 +446,94 @@ def advance_candidates(state: CandidateSet, costs, next_turn_bit=None,
         if not ((bits == 0) | (bits == 1)).all():
             raise ValueError(f"turn bits must be 0 or 1, got {next_turn_bit!r}")
         bits = np.broadcast_to(bits.astype(bool), state.queries)
-    child, rows, counts, bounds = _children(state)
+    child, rows, counts, bounds, keys = _children(state, bits)
     dists = np.repeat(state._dists, counts)
-    if next_turn_bit is not None:
-        turned = _take(state.tree.step, child) >> state.tree.turn_shift
-        keep = np.flatnonzero(turned == _per_candidate(bits, bounds))
-        child, rows, dists = child[keep], rows[keep], dists[keep]
-        bounds = np.searchsorted(keep, bounds)
     if state.queries > 1:
         # Flat positions in the (Q, N) table: query q's row starts at q * N.
         rows = _per_candidate(np.arange(state.queries) * costs.shape[1], bounds) + rows
     _take(costs.ravel(), rows, dists)
     keep = _survivors(dists, bounds, cfg)
     if keep is not None:
-        child, dists = child[keep], dists[keep]
+        child, dists = _ids(child)[keep], dists[keep]
         bounds = np.searchsorted(keep, bounds)
-    complete = state.complete and next_turn_bit is None and keep is None
-    return CandidateSet(state.graph, state.tree, state.length_m + 1, child, dists, bounds,
-                        complete)
+        keys = None
+    return CandidateSet(state.graph, state.tree, state.length_m + 1, child, dists, bounds, keys)
 
 
-def _children(state: CandidateSet) -> tuple:
-    """The structural half of a step: (child, rows, counts, bounds) of every extension.
+def _children(state: CandidateSet, bits) -> tuple:
+    """The structural half of a step: (child, rows, counts, bounds, keys) of its extensions.
 
-    ``child`` are the extensions' tree nodes, ``rows`` the graph rows of
-    their last locations, ``counts`` the number of extensions of each
-    frontier candidate and ``bounds`` each query's segment of them.  A
-    complete set takes them from the tree's levels, and fills the next level
-    on a miss.
+    ``bits`` is each query's turn bit, or None to filter nothing.  ``child``
+    are the kept extensions' tree nodes, ``rows`` the graph rows of their
+    last locations, ``counts`` the number kept of each frontier candidate,
+    ``bounds`` each query's segment of them and ``keys`` the new set's
+    level keys.  A set on the tree's levels takes them from there, and
+    fills a level on a miss.
     """
     tree, m = state.tree, state.length_m
-    if not state.complete:
-        child, counts, bounds = _extend(tree, state._nodes, state._bounds, m)
-        return child, tree.row[child], counts, bounds
-    # Every query's segment is levels[m] (the empty route at m = 0).
-    level = tree.levels.get(m + 1)
-    if level is None:
-        # Extend the first segment alone.
-        nodes = tree.levels[m][0]
-        child, counts, _ = _extend(tree, nodes, np.array([0, len(nodes)]), m)
-        level = tree.levels[m + 1] = (child, tree.row[child], counts)
-    child, rows, counts = level
-    n, q = len(child), state.queries
-    _check_budget(np.array([0, n]))
-    if q > 1:
-        child, rows, counts = np.tile(child, q), np.tile(rows, q), np.tile(counts, q)
-    return child, rows, counts, np.arange(q + 1) * n
+    if state.keys is None:
+        child, counts, starts = _extend(tree, _ids(state._nodes), state._bounds, m)
+        if bits is not None:
+            child, counts, starts = _turn_filter(
+                tree, child, starts, _per_candidate(bits, starts[state._bounds]))
+        return child, tree.row[child], counts, starts[state._bounds], None
+    keys = [key + (bit,) for key, bit in
+            zip(state.keys, [None] * state.queries if bits is None else bits.astype(int).tolist())]
+    levels = {}
+    for q, key in enumerate(keys):
+        if key not in levels:
+            level = tree.levels.get(key)
+            if level is None:
+                # Query q's segment is the level this one extends.
+                segment = state._nodes[state._bounds[q]:state._bounds[q + 1]]
+                level = _fill(tree, _ids(segment), m, key[-1])
+                if len(level[0]):
+                    tree.levels[key] = level
+            levels[key] = level
+    bounds = np.array([0, *accumulate(len(levels[key][0]) for key in keys)])
+    _check_budget(bounds)
+    # Rows are sliced after every fill, which can replace tree.row.
+    parts = [_with_rows(tree, levels[key]) for key in keys]
+    if len(parts) == 1:
+        return (*parts[0], bounds, keys)
+    child = np.concatenate([_ids(nodes) for nodes, _, _ in parts])
+    rows = np.concatenate([rows for _, rows, _ in parts])
+    counts = np.concatenate([counts for _, _, counts in parts])
+    return child, rows, counts, bounds, keys
+
+
+def _fill(tree: RouteTree, nodes: np.ndarray, m: int, bit) -> tuple:
+    """The level of the extensions of ``nodes`` whose turn bit is ``bit`` (all for None).
+
+    ``nodes`` are a level of routes of m locations.
+    """
+    child, counts, starts = _extend(tree, nodes, np.array([0, len(nodes)]), m)
+    if bit is not None:
+        child, counts, _ = _turn_filter(tree, child, starts, bit)
+    if len(child) and (np.diff(child) == 1).all():
+        return range(int(child[0]), int(child[-1]) + 1), None, counts
+    return child, tree.row[child], counts
+
+
+def _with_rows(tree: RouteTree, level: tuple) -> tuple:
+    """A level's (nodes, rows, counts), a run's rows a view of ``tree.row``."""
+    nodes, rows, counts = level
+    return (nodes, tree.row[nodes.start:nodes.stop], counts) if rows is None else level
+
+
+def _ids(nodes) -> np.ndarray:
+    """Node ids as an array; a run held as a ``range`` is made one."""
+    if isinstance(nodes, range):
+        return np.arange(nodes.start, nodes.stop, dtype=np.int32)
+    return nodes
 
 
 def _extend(tree: RouteTree, nodes: np.ndarray, bounds: np.ndarray, m: int) -> tuple:
-    """(child, counts, bounds) of the legal extensions of ``nodes``, routes of m locations.
+    """(child, counts, starts) of the legal extensions of ``nodes``, routes of m locations.
 
-    ``nodes`` are split into segments by ``bounds``; nodes no search has
-    expanded yet are expanded first.
+    Node i's children are ``child[starts[i]:starts[i + 1]]``, ``counts[i]``
+    of them.  ``nodes`` are split into segments by ``bounds``; nodes no
+    search has expanded yet are expanded first.
     """
     first = tree.first[nodes]
     fresh = nodes[first < 0]
@@ -497,14 +546,22 @@ def _extend(tree: RouteTree, nodes: np.ndarray, bounds: np.ndarray, m: int) -> t
             tree.expand(fresh[i:i + _EXPAND_CHUNK], m)
         first = tree.first[nodes]
     counts = tree.count[nodes]
-    # starts[i]: where node i's children begin among all children.
     starts = np.empty(len(nodes) + 1, dtype=np.int32)
     starts[0] = 0
     np.cumsum(counts, dtype=np.int32, out=starts[1:])
-    bounds = starts[bounds]
-    _check_budget(bounds)
+    _check_budget(starts[bounds])
     child = np.arange(starts[-1], dtype=np.int32) + np.repeat(first - starts[:-1], counts)
-    return child, counts, bounds
+    return child, counts, starts
+
+
+def _turn_filter(tree: RouteTree, child: np.ndarray, starts: np.ndarray, bits) -> tuple:
+    """(child, counts, starts), as from _extend, of the children whose turn bit is ``bits``.
+
+    ``bits`` is one bit, or one per child.
+    """
+    keep = np.flatnonzero((_take(tree.step, child) >> tree.turn_shift) == bits)
+    starts = np.searchsorted(keep, starts)
+    return child[keep], np.diff(starts).astype(tree.count.dtype), starts
 
 
 def _check_budget(bounds: np.ndarray) -> None:
@@ -580,10 +637,14 @@ def _take(values: np.ndarray, index: np.ndarray, add_to: np.ndarray | None = Non
     before it gathers, and in blocks that copy stays small, as does the
     gather itself when it is added to ``add_to``.
     """
-    out = np.zeros(len(index), dtype=values.dtype) if add_to is None else add_to
+    if add_to is None:
+        out = np.empty(len(index), dtype=values.dtype)
+        for i in range(0, len(index), _TAKE_BLOCK):
+            np.take(values, index[i:i + _TAKE_BLOCK], out=out[i:i + _TAKE_BLOCK])
+        return out
     for i in range(0, len(index), _TAKE_BLOCK):
-        out[i:i + _TAKE_BLOCK] += np.take(values, index[i:i + _TAKE_BLOCK])
-    return out
+        add_to[i:i + _TAKE_BLOCK] += np.take(values, index[i:i + _TAKE_BLOCK])
+    return add_to
 
 
 def _smallest(dists: np.ndarray, bounds: np.ndarray, keep: list):

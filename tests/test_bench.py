@@ -206,6 +206,11 @@ class TestAccuracyReport:
         assert report.localized(4) == frozenset({0, 2})
         assert report.localized(4, k=5) == frozenset({0, 1, 2})
 
+    @pytest.mark.parametrize("k", [0, 3])
+    def test_localized_rejects_other_k(self, report, k):
+        with pytest.raises(ValueError, match=f"k must be 1 or 5, got {k}"):
+            report.localized(4, k=k)
+
     def test_csv(self, tmp_path, report):
         path = tmp_path / "acc.csv"
         report.write_csv(path)

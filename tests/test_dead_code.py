@@ -24,7 +24,9 @@ every defaulted parameter of a public function or method, and every
 defaulted dataclass field, is set by at least one program call, by keyword
 or by position; a ``**mapping`` sets nothing.  Calls match by name, as
 methods do above: ``f(...)`` and ``obj.f(...)`` both call every ``f``, and
-a class name or ``cls`` calls the dataclass or ``__init__``.  A default no
+a class name or ``cls`` calls the dataclass or ``__init__``.  A call through
+a name bound to another package's module (``pytest.main([...])``) calls
+none of them.  A default no
 call sets is a fixed value, not an option; ``UNSET_ALLOWED`` lists the few
 kept anyway, each with its reason.
 
@@ -183,6 +185,8 @@ def test_no_field_or_attribute_is_unread():
 UNSET_ALLOWED = {
     "enumerate_routes(exclusions)": "the reference enumerator; unit tests compare excluded "
                                     "searches against it",
+    "main(argv)": "the CLI tests drive every command through argv, and the console script "
+                  "passes none",
 }
 
 
@@ -224,15 +228,23 @@ def _defaulted(modules: dict) -> list:
     return out
 
 
+def _foreign_modules(tree: ast.AST) -> set:
+    """Names that ``tree`` binds to modules of other packages (``np``, ``pytest``)."""
+    return {a.asname or a.name.split(".")[0] for node in ast.walk(tree)
+            if isinstance(node, ast.Import) for a in node.names
+            if a.name.split(".")[0] != "routeloc"}
+
+
 def _calls(trees) -> dict:
     """Every call by callee name: (positional arguments, keyword names).
 
     A ``*args`` argument counts as setting every position.  A call through
-    ``cls`` inside a class counts as a call of that class.
+    ``cls`` inside a class counts as a call of that class.  A call through
+    another package's module counts as none.
     """
     calls = {}
 
-    def visit(node, cls):
+    def visit(node, cls, foreign):
         if isinstance(node, ast.ClassDef):
             cls = node.name
         if isinstance(node, ast.Call):
@@ -241,14 +253,15 @@ def _calls(trees) -> dict:
             if callee == "cls" and cls is not None:
                 callee = cls
             starred = any(isinstance(a, ast.Starred) for a in node.args)
-            calls.setdefault(callee, []).append((
-                math.inf if starred else len(node.args),
-                {k.arg for k in node.keywords if k.arg is not None}))
+            if getattr(getattr(func, "value", None), "id", None) not in foreign:
+                calls.setdefault(callee, []).append((
+                    math.inf if starred else len(node.args),
+                    {k.arg for k in node.keywords if k.arg is not None}))
         for child in ast.iter_child_nodes(node):
-            visit(child, cls)
+            visit(child, cls, foreign)
 
     for tree in trees:
-        visit(tree, None)
+        visit(tree, None, _foreign_modules(tree))
     return calls
 
 

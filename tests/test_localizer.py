@@ -23,6 +23,7 @@ from routeloc import (
     enumerate_routes,
     generate_synthetic_world,
     localize_full,
+    simulate_routes,
     start_candidates,
     turn_pattern,
     write_ranked_csv,
@@ -145,8 +146,9 @@ def mixed_chain(g, store, queries, cfg, patterns, exclusions, plain, cached=True
     for its first ``plain`` observations.
 
     Later observations use ``cfg``, and the turn bits when given.  With
-    ``cached`` False every state is marked incomplete, so that each step
-    extends its frontier node by node instead of reading the tree's levels.
+    ``cached`` False every state is taken off the tree's levels, so that
+    each step extends and turn-filters its frontier node by node instead of
+    reading them.
     """
     table = lockstep_tables(g, store, queries)
 
@@ -155,26 +157,51 @@ def mixed_chain(g, store, queries, cfg, patterns, exclusions, plain, cached=True
 
     states = [start_candidates(g, table[0], exclusions, conf(0))]
     for i in range(1, len(queries[0])):
-        states[-1].complete &= cached
+        if not cached:
+            states[-1].keys = None
         bits = (None if patterns is None or i < plain
                 else [turns[i - 1] for turns in patterns])
         states.append(advance_candidates(states[-1], table[i], bits, conf(i)))
     return states
 
 
-def level_routes(tree, m):
-    """(n, m) graph rows of ``tree.levels[m]``'s routes, walked back through the levels.
+def level_arrays(tree, key):
+    """``tree.levels[key]`` as (nodes, rows, counts) arrays, a run of nodes unpacked."""
+    nodes, rows, counts = tree.levels[key]
+    if rows is None:
+        nodes = np.arange(nodes.start, nodes.stop)
+        rows = tree.row[nodes]
+    return nodes, rows, counts
+
+
+def level_routes(tree, key):
+    """(n, m) graph rows of ``tree.levels[key]``'s routes, walked back through the levels.
 
     Each level's counts alone give every route's position in the level
     before it, so this does not read the tree's parents.
     """
-    pos = np.arange(len(tree.levels[m][0]))
+    pos = np.arange(len(tree.levels[key][0]))
     path = []
-    for t in range(m, 0, -1):
-        child, _, counts = tree.levels[t]
-        path.append(tree.row[child[pos]])
+    for t in range(len(key), 0, -1):
+        child, rows, counts = level_arrays(tree, key[:t])
+        assert np.array_equal(rows, tree.row[child])
+        path.append(rows[pos])
         pos = np.repeat(np.arange(len(counts)), counts)[pos]
     return np.array(path[::-1]).T
+
+
+def level_key(m, turns=None, plain=0):
+    """The level key of a search of m locations that filters on ``turns`` from step ``plain``."""
+    return (None,) + tuple(None if turns is None or i < plain else turns[i - 1]
+                           for i in range(1, m))
+
+
+def matching_routes(g, m, excl, turns=None, plain=0):
+    """The routes of m locations whose turn bits match ``level_key(m, turns, plain)``."""
+    key = level_key(m, turns, plain)
+    return [r for r in enumerate_routes(g, m, excl)
+            if all(b is None or b == t
+                   for b, t in zip(key, (0, *(turn_pattern(r, g) if m > 1 else ()))))]
 
 
 class ReferenceTree(localizer.RouteTree):
@@ -628,7 +655,7 @@ class TestBudget:
         for _ in range(4):
             state = advance_candidates(state, costs)
         tree, nodes = state.tree, state.tree.size
-        size = len(tree.levels[5][0])
+        size = len(tree.levels[level_key(5)][0])
         # A later search takes length 5 from the levels, and the budget still binds it.
         state = start_candidates(lattice, costs)
         with mock.patch.object(localizer, "_MAX_FRONTIER", size - 1):
@@ -636,7 +663,7 @@ class TestBudget:
                                match=f"build {size} candidates"):
                 for _ in range(4):
                     state = advance_candidates(state, costs)
-        assert state.complete and state.length_m == 4 and tree.size == nodes
+        assert state.keys == [level_key(4)] and state.length_m == 4 and tree.size == nodes
         # The budget is per query: three queries of that size fit a budget of one.
         state = start_candidates(lattice, np.zeros((3, len(lattice))))
         with mock.patch.object(localizer, "_MAX_FRONTIER", size):
@@ -700,7 +727,7 @@ class TestRouteTree:
     @settings(max_examples=60, deadline=None)
     def test_every_node_records_its_parent(self, g, length, cfg, with_turns):
         costs = np.random.default_rng(length).integers(0, 3, (length, len(g))).astype(float)
-        # A culled or turn-filtered search expands some nodes; a complete one fills the levels.
+        # A culled search expands some nodes; an unculled one fills the levels.
         for search in (cfg, LocalizerConfig()):
             state = start_candidates(g, costs[0], (), search)
             for i in range(1, length):
@@ -716,8 +743,9 @@ class TestRouteTree:
         # other node is one such child.
         assert np.array_equal(tree.parent[children], np.repeat(expanded, counts))
         assert np.array_equal(np.sort(children), np.arange(tree.roots, tree.size))
-        for m, (child, _, _) in tree.levels.items():
-            assert np.array_equal(tree.walks(child, m), level_routes(tree, m).T)
+        for key in tree.levels:
+            child = level_arrays(tree, key)[0]
+            assert np.array_equal(tree.walks(child, len(key)), level_routes(tree, key).T)
 
     @given(fuzzed_graphs(), st.booleans(), st.integers(2, 9), st.integers(0, 2 ** 32 - 1))
     @settings(max_examples=80, deadline=None)
@@ -814,13 +842,13 @@ class TestRouteTree:
         assert localizer.RouteTree(g, frozenset(exclusions)).girth(10) == min(girth, 11)
 
     @pytest.mark.parametrize("cfg,bit", [(LocalizerConfig(cull_fraction=0.5, cull_floor=2), None),
-                                         (LocalizerConfig(), 0)])
+                                         (LocalizerConfig(cull_fraction=0.5, cull_floor=2), 0)])
     def test_a_state_holds_only_its_frontier(self, cfg, bit):
         g = generate_synthetic_world(SyntheticWorldConfig(node_count=30, seed=37))
         costs = np.random.default_rng(27).normal(0, 1, (3, len(g)))
         earlier = advance_candidates(start_candidates(g, costs[0], (), cfg), costs[1], bit, cfg)
-        # Culled or turn-filtered, so its frontier is not one of the tree's levels.
-        assert not earlier.complete
+        # Culled, so its frontier, turn-filtered or not, is not one of the tree's levels.
+        assert earlier.keys is None
         frontier = weakref.ref(earlier._nodes)
         state = advance_candidates(earlier, costs[2], bit, cfg)
         del earlier
@@ -843,14 +871,20 @@ class TestRouteTree:
         g = generate_synthetic_world(SyntheticWorldConfig(node_count=30, seed=34))
         store = make_store(g, seed=23)
         q = np.random.default_rng(24).normal(0, 1, (4, DIM))
-        # An unculled search fills the levels; a culled one then shares the tree.
+        # Unculled searches fill the levels, complete and turn-filtered; a
+        # culled one then shares the tree.
         run_chain(g, store, q, LocalizerConfig())
+        run_chain(g, store, q, LocalizerConfig(), turns=(0, 1, 0))
         state = run_chain(g, store, q, LocalizerConfig(cull_fraction=0.5, cull_floor=5))
         assert state.top(3)
-        assert sorted(state.tree.levels) == [1, 2, 3, 4]
-        refs = [weakref.ref(g), weakref.ref(state.tree),
-                *(weakref.ref(a) for level in state.tree.levels.values()
-                  for a in level if a is not None)]
+        levels = state.tree.levels
+        assert {level_key(m) for m in range(1, 5)} | {(None, 0), (None, 0, 1)} <= set(levels)
+        # Turn-filtered levels hold their own node and row arrays.
+        assert levels[(None, 0, 1)][1] is not None
+        arrays = [a for level in levels.values() for a in level if isinstance(a, np.ndarray)]
+        del levels
+        refs = [weakref.ref(g), weakref.ref(state.tree), *map(weakref.ref, arrays)]
+        del arrays
         del g, state
         gc.collect()
         assert [r() for r in refs] == [None] * len(refs)
@@ -863,61 +897,148 @@ class TestLevels:
         q = np.random.default_rng(26).normal(0, 1, (5, DIM))
         states = lockstep_chain(g, store, [q], LocalizerConfig())
         tree = states[-1].tree
-        assert all(s.complete for s in states) and sorted(tree.levels) == [1, 2, 3, 4, 5]
+        assert [s.keys for s in states] == [[level_key(m)] for m in range(1, 6)]
+        assert sorted(tree.levels, key=len) == [level_key(m) for m in range(1, 6)]
         for m, state in enumerate(states, 1):
-            child, rows, counts = tree.levels[m]
-            assert state._nodes is child
-            assert np.array_equal(rows, tree.row[child])
+            # The first search on a fresh tree grows each complete level in
+            # order, so the level is one run of nodes with no arrays of its own
+            # but its counts, and a one-query set on it holds that run.
+            nodes, rows, counts = tree.levels[level_key(m)]
+            assert isinstance(nodes, range) and rows is None
+            assert state._nodes is nodes
             # One count per route of the level before: the empty route's for m = 1.
-            before = tree.levels[m - 1][0] if m > 1 else np.arange(1)
-            assert len(counts) == len(before) and counts.sum() == len(child)
+            before = level_arrays(tree, level_key(m - 1))[0] if m > 1 else np.arange(1)
+            assert len(counts) == len(before) and counts.sum() == len(nodes)
             if m > 1:
+                assert counts.dtype == tree.count.dtype
                 assert np.array_equal(counts, tree.count[before])
-            assert {tuple(r) for r in g.id_array[level_routes(tree, m)].tolist()} == \
+            assert {tuple(r) for r in g.id_array[level_routes(tree, level_key(m))].tolist()} == \
                 enumerate_routes(g, m)
-        # A later complete search steps over the same arrays.
-        again = lockstep_chain(g, store, [q[::-1]], LocalizerConfig())
-        assert all(a._nodes is b._nodes for a, b in zip(again, states))
+
+    def test_turn_filtered_search_fills_a_level_per_turn_bit_prefix(self):
+        g = generate_synthetic_world(SyntheticWorldConfig(node_count=30, seed=36))
+        store = make_store(g, seed=25)
+        q = np.random.default_rng(26).normal(0, 1, (5, DIM))
+        turns = turn_pattern(simulate_routes(g, 1, 5, seed=4)[0], g)
+        states = lockstep_chain(g, store, [q], LocalizerConfig(), [turns])
+        tree = states[-1].tree
+        assert sorted(tree.levels, key=len) == [level_key(m, turns) for m in range(1, 6)]
+        for m, state in enumerate(states, 1):
+            key = level_key(m, turns)
+            assert state.keys == [key]
+            # The frontier is the level: every route of m locations with the query's turn bits.
+            nodes, _, counts = level_arrays(tree, key)
+            assert np.array_equal(state._nodes, nodes) and counts.sum() == len(nodes)
+            assert {tuple(r) for r in g.id_array[level_routes(tree, key)].tolist()} == \
+                set(matching_routes(g, m, (), turns))
+
+    @pytest.mark.parametrize("method", ["ES+T", "T-only"])
+    def test_a_repeated_turn_search_extends_nothing(self, method):
+        g = generate_synthetic_world(SyntheticWorldConfig(node_count=200, seed=38))
+        store = make_store(g, seed=28)
+        rng = np.random.default_rng(29)
+        truths = simulate_routes(g, 3, 8, seed=5)
+        queries = [rng.normal(0, 1, (8, DIM)) for _ in truths]
+        patterns = [turn_pattern(t, g) for t in truths]
+
+        if method == "T-only":
+            # All-zero costs: only the turn bits tell routes apart.
+            store = DescriptorStore(g.id_array, np.zeros((len(g), DIM)))
+            queries = [np.zeros((8, DIM)) for _ in truths]
+
+        def search():
+            states = lockstep_chain(g, store, queries, LocalizerConfig(), patterns)
+            return [[s.top(s.sizes[q], q) for q in range(len(queries))] for s in states]
+
+        first = search()
+        with mock.patch.object(localizer, "_extend", wraps=localizer._extend) as extend, \
+                mock.patch.object(localizer.RouteTree, "expand", autospec=True,
+                                  side_effect=localizer.RouteTree.expand) as expand:
+            again = search()
+        assert extend.call_count == expand.call_count == 0
+        assert again == first
+
+    @given(fuzzed_graphs(), st.integers(0, 2 ** 32 - 1))
+    @settings(max_examples=40, deadline=None)
+    def test_filtered_levels_hold_each_node_once_per_length(self, g, seed):
+        rng = np.random.default_rng(seed)
+        for _ in range(12):
+            m = int(rng.integers(2, 7))
+            queries = int(rng.integers(1, 4))
+            costs = rng.integers(0, 3, (m, queries, len(g))).astype(float)
+            # Bits that filter every step after the first, or none; no route turns
+            # on its second location, so a pattern that starts with 1 matches none.
+            patterns = rng.integers(0, 2, (queries, m - 1))
+            patterns[rng.random(queries) < 0.8, 0] = 0
+            complete = rng.random() < 0.2
+            state = start_candidates(g, costs[0])
+            for i in range(1, m):
+                state = advance_candidates(state, costs[i], None if complete else patterns[:, i - 1])
+        tree = state.tree
+        for m in {len(key) for key in tree.levels}:
+            filtered = [level_arrays(tree, key)[0] for key in tree.levels
+                        if len(key) == m and any(b is not None for b in key)]
+            nodes = np.concatenate([np.arange(0)] + filtered)
+            # Disjoint sets of the tree's nodes, so at most one filtered entry per node.
+            assert len(np.unique(nodes)) == len(nodes)
+            assert (nodes >= 0).all() and (nodes < tree.size).all()
+        # With the complete levels, at most two entries per node.
+        assert sum(len(level[0]) for level in tree.levels.values()) <= 2 * tree.size
 
     @given(lockstep_searches(), search_configs, st.booleans(), st.integers(0, 4),
-           st.booleans(), maybe_turns)
+           st.booleans(), maybe_turns, st.booleans())
     @settings(max_examples=150, deadline=None)
     def test_cached_levels_rank_like_a_fresh_tree(self, search, cfg, exclude, plain,
-                                                   lockstep, with_turns):
+                                                   lockstep, with_turns, impossible):
         g, store, queries, patterns = search
         excl = ("tunnel",) if exclude else ()
         if not lockstep:
             queries, patterns = queries[:1], patterns[:1]
+        if impossible:
+            # No route turns on its second location, so this pattern matches none.
+            patterns = patterns[:-1] + [(1, *patterns[-1][1:])]
         if not with_turns:
             patterns = None
-        # Levels are written only from complete frontiers.
+        turns = [None] * len(queries) if patterns is None else patterns
         states = mixed_chain(g, store, queries, cfg, patterns, excl, plain)
         tree = states[0].tree
-        assert sorted(tree.levels) == [1] + [m + 2 for m, s in enumerate(states[:-1])
-                                              if s.complete]
-        # Complete means neither turn-filtered nor culled since the start.
-        complete = True
+        # A set stays on the levels until a step culls it: once the cull has
+        # started, until some query's matching routes outnumber the cull floor.
+        on_levels, filled = True, {level_key(1)}
         for i, state in enumerate(states):
-            routes = len(enumerate_routes(g, i + 1, excl))
-            if i >= plain:
-                complete &= ((i == 0 or patterns is None)
-                             and not (cfg.cull_fraction > 0 and routes > cfg.cull_floor))
-            assert state.complete == complete
-            if complete:
-                assert list(state.sizes) == [routes] * len(queries)
-        # Filled to full length by a complete search, the levels then serve
-        # every complete step, whatever follows it.
+            want = [matching_routes(g, i + 1, excl, t, plain) for t in turns]
+            keys = [level_key(i + 1, t, plain) for t in turns]
+            if on_levels:
+                # A step taken from the levels fills its own, culled after or not.
+                filled |= {key for key, w in zip(keys, want) if w}
+            if i >= plain and cfg.cull_fraction > 0:
+                on_levels &= max(map(len, want)) <= cfg.cull_floor
+            if not on_levels:
+                assert state.keys is None
+                continue
+            assert state.keys == keys
+            assert list(state.sizes) == [len(w) for w in want]
+            for q, w in enumerate(want):
+                segment = localizer._ids(state._nodes)[state._bounds[q]:state._bounds[q + 1]]
+                got = tree.walks(segment, i + 1).T
+                assert {tuple(r) for r in g.id_array[got].tolist()} == set(w)
+        # No other level is filled, and an empty one is never held: a pattern
+        # that matches no route leaves no level.
+        assert set(tree.levels) == filled
+        assert not any(len(key) > 1 and key[1] == 1 for key in tree.levels)
+        # Complete and fully turn-filtered searches fill more levels, which
+        # then serve every step on the levels, whatever follows it.
         run_chain(g, store, queries[0], LocalizerConfig(), None, excl)
+        lockstep_chain(g, store, queries, LocalizerConfig(), patterns, excl)
         cached = mixed_chain(g, store, queries, cfg, patterns, excl, plain)
         fresh = MapGraph(list(g.locations()))
         uncached = mixed_chain(fresh, store, queries, cfg, patterns, excl, plain, cached=False)
         assert len(localizer._route_trees[fresh][frozenset(excl)].levels) == 1
-        for a, b in zip(cached, uncached):
-            assert list(a.sizes) == list(b.sizes)
+        for a, b, c in zip(states, cached, uncached):
+            assert list(a.sizes) == list(b.sizes) == list(c.sizes)
             for q in range(len(queries)):
-                assert a.top(a.sizes[q], q) == b.top(b.sizes[q], q)
-                assert a.top(2, q) == b.top(2, q)
-
+                assert a.top(a.sizes[q], q) == b.top(b.sizes[q], q) == c.top(c.sizes[q], q)
+                assert a.top(2, q) == b.top(2, q) == c.top(2, q)
 
 
 class TestSmallest:
