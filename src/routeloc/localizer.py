@@ -637,14 +637,10 @@ def _take(values: np.ndarray, index: np.ndarray, add_to: np.ndarray | None = Non
     before it gathers, and in blocks that copy stays small, as does the
     gather itself when it is added to ``add_to``.
     """
-    if add_to is None:
-        out = np.empty(len(index), dtype=values.dtype)
-        for i in range(0, len(index), _TAKE_BLOCK):
-            np.take(values, index[i:i + _TAKE_BLOCK], out=out[i:i + _TAKE_BLOCK])
-        return out
+    out = np.zeros(len(index), dtype=values.dtype) if add_to is None else add_to
     for i in range(0, len(index), _TAKE_BLOCK):
-        add_to[i:i + _TAKE_BLOCK] += np.take(values, index[i:i + _TAKE_BLOCK])
-    return add_to
+        out[i:i + _TAKE_BLOCK] += np.take(values, index[i:i + _TAKE_BLOCK])
+    return out
 
 
 def _smallest(dists: np.ndarray, bounds: np.ndarray, keep: list):

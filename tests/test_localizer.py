@@ -914,6 +914,9 @@ class TestLevels:
                 assert np.array_equal(counts, tree.count[before])
             assert {tuple(r) for r in g.id_array[level_routes(tree, level_key(m))].tolist()} == \
                 enumerate_routes(g, m)
+        # A later complete search steps over the same levels.
+        again = lockstep_chain(g, store, [q[::-1]], LocalizerConfig())
+        assert all(a._nodes is b._nodes for a, b in zip(again, states))
 
     def test_turn_filtered_search_fills_a_level_per_turn_bit_prefix(self):
         g = generate_synthetic_world(SyntheticWorldConfig(node_count=30, seed=36))
@@ -932,14 +935,14 @@ class TestLevels:
             assert {tuple(r) for r in g.id_array[level_routes(tree, key)].tolist()} == \
                 set(matching_routes(g, m, (), turns))
 
-    @pytest.mark.parametrize("method", ["ES+T", "T-only"])
-    def test_a_repeated_turn_search_extends_nothing(self, method):
+    @pytest.mark.parametrize("method", ["ES", "ES+T", "T-only"])
+    def test_a_repeated_unculled_search_extends_nothing(self, method):
         g = generate_synthetic_world(SyntheticWorldConfig(node_count=200, seed=38))
         store = make_store(g, seed=28)
         rng = np.random.default_rng(29)
         truths = simulate_routes(g, 3, 8, seed=5)
         queries = [rng.normal(0, 1, (8, DIM)) for _ in truths]
-        patterns = [turn_pattern(t, g) for t in truths]
+        patterns = None if method == "ES" else [turn_pattern(t, g) for t in truths]
 
         if method == "T-only":
             # All-zero costs: only the turn bits tell routes apart.
@@ -947,15 +950,19 @@ class TestLevels:
             queries = [np.zeros((8, DIM)) for _ in truths]
 
         def search():
-            states = lockstep_chain(g, store, queries, LocalizerConfig(), patterns)
-            return [[s.top(s.sizes[q], q) for q in range(len(queries))] for s in states]
+            """Every state's ranking, and how often the search grew the tree."""
+            with mock.patch.object(localizer, "_extend", wraps=localizer._extend) as extend, \
+                    mock.patch.object(localizer.RouteTree, "expand", autospec=True,
+                                      side_effect=localizer.RouteTree.expand) as expand:
+                states = lockstep_chain(g, store, queries, LocalizerConfig(), patterns)
+                ranked = [[s.top(s.sizes[q], q) for q in range(len(queries))] for s in states]
+            return ranked, extend.call_count + expand.call_count
 
-        first = search()
-        with mock.patch.object(localizer, "_extend", wraps=localizer._extend) as extend, \
-                mock.patch.object(localizer.RouteTree, "expand", autospec=True,
-                                  side_effect=localizer.RouteTree.expand) as expand:
-            again = search()
-        assert extend.call_count == expand.call_count == 0
+        # The first search on a fresh tree fills the levels; the same search
+        # again reads them and grows nothing.
+        first, grown = search()
+        again, regrown = search()
+        assert grown > 0 and regrown == 0
         assert again == first
 
     @given(fuzzed_graphs(), st.integers(0, 2 ** 32 - 1))
