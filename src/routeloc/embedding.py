@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .world import MapGraph, check_whole, rows_in
 
@@ -291,6 +290,9 @@ def batch_loss(batch: TrainBatch, g_enc: Encoder, f_enc: Encoder,
     derivatives by distance, which one formula turns into descriptor
     gradients (none for a pair of coinciding descriptors).
     """
+    # Imported where used, so that `import routeloc` loads no scipy.
+    from scipy.spatial.distance import cdist
+
     zx, zy = batch.map_latents, batch.image_latents
     x, x_norms = _forward(zx, g_enc, cfg)
     y, y_norms = _forward(zy, f_enc, cfg)

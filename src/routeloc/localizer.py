@@ -57,7 +57,6 @@ from itertools import accumulate
 from typing import Iterable
 
 import numpy as np
-from scipy import sparse
 
 from .store import DescriptorStore
 from .world import MapGraph, Route, bearing_turns, check_whole, segment_bearings, write_csv
@@ -210,6 +209,9 @@ class RouteTree:
         onward = np.searchsorted(er * self._arity + es,
                                  (c[at].astype(np.intp) * self._arity + back[at])[hop])
         edges = int(np.count_nonzero(usable))
+        # Imported where used, so that `import routeloc` loads no scipy.
+        from scipy import sparse
+
         hops = sparse.csr_array((np.ones(len(onward), dtype=bool),
                                  (number[src[hop]], number[onward])), shape=(edges, edges))
         # A location is never its own neighbor, and a route never turns back.

@@ -12,7 +12,6 @@ import csv
 import struct
 
 import numpy as np
-from scipy.spatial.distance import cdist
 
 from .world import rows_in, write_csv
 
@@ -64,6 +63,10 @@ class DescriptorStore:
         coordinate differences, so a query equal to a stored vector is at
         exactly 0.0 and small distances keep their precision.
         """
+        # Imported where used, so that `import routeloc` and the searches
+        # that take no descriptor distances (BSD, T-only) load no scipy.spatial.
+        from scipy.spatial.distance import cdist
+
         q = np.asarray(queries, dtype=np.float64)
         if q.ndim != 2 or q.shape[1] != self.dim:
             raise ValueError(f"queries shape {q.shape} does not match (Q, {self.dim})")

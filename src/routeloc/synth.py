@@ -12,9 +12,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components, minimum_spanning_tree
-from scipy.spatial import Delaunay
 
 from .world import TAG_NAMES, Location, MapGraph, bearing_deg, check_whole
 
@@ -180,6 +177,12 @@ def _random_planar_topology(cfg, rng):
             adjacency[i + 1].add(i)
         return positions, adjacency
 
+    # Imported where used, so that `import routeloc` and grid worlds load
+    # no scipy.spatial or csgraph.
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import minimum_spanning_tree
+    from scipy.spatial import Delaunay
+
     n_junctions = max(4, min(n // 12, 400))
     side = cfg.spacing * math.sqrt(n) * 1.5
     pts = rng.uniform(0.0, side, size=(n_junctions, 2))
@@ -296,9 +299,18 @@ def _largest_component(adjacency):
 
     Ids are 0 .. n-1; components are labelled in order of their smallest id.
     """
-    n = len(adjacency)
-    rows = np.repeat(np.arange(n), [len(adjacency[u]) for u in range(n)])
-    cols = np.array([v for u in range(n) for v in adjacency[u]], dtype=np.intp)
-    links = csr_matrix((np.ones(len(cols)), (rows, cols)), shape=(n, n))
-    labels = connected_components(links, directed=False)[1]
-    return set(np.flatnonzero(labels == np.argmax(np.bincount(labels))).tolist())
+    label = [-1] * len(adjacency)
+    sizes = []
+    for root in range(len(adjacency)):
+        if label[root] >= 0:
+            continue
+        label[root] = len(sizes)
+        queue = [root]
+        for u in queue:
+            for v in adjacency[u]:
+                if label[v] < 0:
+                    label[v] = len(sizes)
+                    queue.append(v)
+        sizes.append(len(queue))
+    biggest = sizes.index(max(sizes))
+    return {u for u, c in enumerate(label) if c == biggest}

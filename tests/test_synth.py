@@ -3,6 +3,10 @@ from collections import deque
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import connected_components
 
 from routeloc import synth
 from routeloc import (
@@ -99,6 +103,29 @@ class TestGridLayout:
         assert synth._largest_component(adjacency) == {0, 3}
         adjacency = {0: set(), 1: {4}, 2: {3, 4}, 3: {2}, 4: {1, 2}}
         assert synth._largest_component(adjacency) == {1, 2, 3, 4}
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_largest_component_matches_scipy_labels(self, data):
+        # Random edges over n ids; half the time the graph gets a copy of
+        # itself, so every component size ties; then the ids are shuffled.
+        n = data.draw(st.integers(1, 12))
+        pair = st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+        edges = [(u, v) for u, v in data.draw(st.lists(pair, max_size=20)) if u != v]
+        if data.draw(st.booleans()):
+            edges += [(u + n, v + n) for u, v in edges]
+            n *= 2
+        ids = data.draw(st.permutations(range(n)))
+        adjacency = {i: set() for i in range(n)}
+        for u, v in edges:
+            adjacency[ids[u]].add(ids[v])
+            adjacency[ids[v]].add(ids[u])
+        rows = [u for u in range(n) for _ in adjacency[u]]
+        cols = [v for u in range(n) for v in adjacency[u]]
+        links = csr_matrix((np.ones(len(cols)), (rows, cols)), shape=(n, n))
+        labels = connected_components(links, directed=False)[1]
+        expected = set(np.flatnonzero(labels == np.argmax(np.bincount(labels))).tolist())
+        assert synth._largest_component(adjacency) == expected
 
 
 class TestRandomPlanarLayout:
