@@ -396,6 +396,7 @@ _ERROR_CATEGORIES = (
     (bench_mod.SimulationError, "simulation"),
     (TrainingDiverged, "training"),
     (OSError, "io"),
+    (MemoryError, "memory"),
     (KeyError, "lookup"),
     (ValueError, "config"),
 )
@@ -409,6 +410,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # categorized error line, nonzero exit
         for klass, label in _ERROR_CATEGORIES:
             if isinstance(exc, klass):
+                if isinstance(exc, MemoryError) and not str(exc):
+                    exc = "out of memory"  # a bare MemoryError carries no message
                 print(f"error[{label}]: {exc}", file=sys.stderr)
                 return 2
         raise

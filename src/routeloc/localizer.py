@@ -71,6 +71,8 @@ _MAX_FRONTIER = 1 << 21
 _MAX_TREE_NODES = 1 << 24
 # Most indices one np.take in _take converts to intp at a time.
 _TAKE_BLOCK = 1 << 14
+# Most (source, location) pairs a level of the girth's search from several sources gathers.
+_BFS_PAIRS = 1 << 17
 # _smallest bounds the k-th smallest of a segment by a strided sample's
 # when the segment holds at least _SAMPLE_RATIO * k entries; the sample
 # holds at least _SAMPLE_SIZE * k.
@@ -120,8 +122,9 @@ class RouteTree:
     closing a cycle through positions i .. m, so ``expand`` compares
     children with earlier positions only once routes are as long as the
     shortest cycle of the allowed locations, the girth, and then only with
-    the positions a cycle can reach.  The girth is found lazily, only as
-    deep as the expansions need (see ``_cycle_free_lengths``).
+    the positions a cycle can reach.  The girth is found lazily, by a
+    breadth-first search from the junctions only as deep as the expansions
+    need.
 
     ``levels`` holds the structural half of the unculled steps searches
     have taken, keyed by the turn bits they filtered on: the key of a
@@ -201,31 +204,37 @@ class RouteTree:
         self.count = np.zeros(self.size, dtype=count_type)
         self.step = np.full(self.size, deg, dtype=step_type)
         self.levels = {(None,): (range(self.roots), None, np.array([self.roots]))}
-        # hops[e, f]: a route that arrived by edge e can go on by edge f, over
-        # the edges a route can arrive by (between allowed rows), numbered in order.
-        usable = (came >= 0) & allowed[er] & allowed[came]
-        number = np.cumsum(usable, dtype=np.int32) - 1
-        hop = usable[src]
-        onward = np.searchsorted(er * self._arity + es,
-                                 (c[at].astype(np.intp) * self._arity + back[at])[hop])
-        edges = int(np.count_nonzero(usable))
-        # Imported where used, so that `import routeloc` loads no scipy.
-        from scipy import sparse
-
-        hops = sparse.csr_array((np.ones(len(onward), dtype=bool),
-                                 (number[src[hop]], number[onward])), shape=(edges, edges))
-        # A location is never its own neighbor, and a route never turns back.
-        self._girth_bound = 3
-        self._cycle_free = _cycle_free_lengths(hops)
+        # The girth's breadth-first search goes over each row's allowed neighbors,
+        # _links[_link_first[r]:_link_first[r + 1]], from _sources: every cycle
+        # passes through a junction (an allowed location with three or more) or
+        # is a bare ring, whose smallest row has two larger ones.
+        self._links, self._link_first = c[pairs], np.append(first, len(pairs))
+        lower = np.bincount(r[pairs][self._links < r[pairs]], minlength=n)
+        self._sources = np.flatnonzero(allowed & ((fanout >= 3) | ((fanout == 2) & (lower == 0))))
+        # The girth once found, and until then the length up to which cycles are
+        # ruled out; a location is never its own neighbor, and a route never
+        # turns back.
+        self._girth, self._cycle_free = math.inf, 2
 
     def girth(self, m: int) -> int:
-        """A lower bound on the girth that is exact when the girth is at most m."""
-        while self._girth_bound <= m:
-            k = next(self._cycle_free, None)
-            if k is None:
-                break
-            self._girth_bound = k + 1
-        return self._girth_bound
+        """A lower bound on the girth that is exact when the girth is at most m.
+
+        A call that asks past the lengths ruled out so far searches from the
+        sources again, a block at a time, each only as deep as m, or a cycle
+        shorter than the shortest found, needs.  A block starts as every
+        source left and is halved while a level would outgrow ``_BFS_PAIRS``.
+        """
+        if self._cycle_free < m:
+            sources, lo, block = self._sources, 0, len(self._sources)
+            while lo < len(sources):
+                found = _shortest_cycle(self._link_first, self._links, sources[lo:lo + block],
+                                        (min(m, self._girth - 1) + 1) // 2)
+                if found is None:
+                    block //= 2
+                else:
+                    self._girth, lo = min(self._girth, found), lo + block
+            self._cycle_free = 2 * ((m + 1) // 2) if self._girth == math.inf else math.inf
+        return min(self._girth, max(m + 1, 3))
 
     def walks(self, nodes: np.ndarray, m: int) -> np.ndarray:
         """(m, len(nodes)) graph rows of the routes of m locations that end at ``nodes``."""
@@ -288,29 +297,41 @@ class RouteTree:
             del old, new
 
 
-def _cycle_free_lengths(hops):
-    """Yield k = 3, 4, ... while the graph has no cycle of k or fewer edges.
+def _shortest_cycle(first: np.ndarray, links: np.ndarray, sources: np.ndarray, steps: int):
+    """Edges in the shortest cycle through ``sources`` within ``steps`` BFS levels (inf for none).
 
-    ``hops`` is the graph's boolean non-backtracking matrix over directed
-    edges: entry (e, f) is set when a walk may go on from e to f without
-    turning back.  A cycle of k edges is a closed walk of k hops, and every
-    closed walk of k hops holds a cycle of at most k edges, so the girth is
-    the first k at which hops^k has a set diagonal entry.  That diagonal is
-    read as the overlap of hops^a and the transpose of hops^(k - a), with a
-    = ceil(k / 2), so the powers go only half as deep as k, and only the
-    last two are kept.
+    Row r's neighbors are ``links[first[r]:first[r + 1]]``.  Level k of a
+    source is the locations k edges from it, every source searched at once
+    as (source, location) pairs.  A level goes on to its locations' neighbors
+    but the one each came from: one on level k closes a cycle of at most
+    2k + 1 edges, one reached twice of at most 2k + 2, exact for a source on
+    a shortest cycle, and no neighbor lies nearer before then.  Returns None,
+    having stopped part way, when a level of several sources would gather
+    more than ``_BFS_PAIRS`` pairs.
     """
-    powers = {1: hops, 2: hops @ hops}
-    k = 3
-    while True:
-        a = (k + 1) // 2
-        if a not in powers:
-            powers[a] = powers[a - 1] @ hops
-            del powers[a - 2]
-        if powers[a].multiply(powers[k - a].T).count_nonzero():
-            return
-        yield k
-        k += 1
+    n = len(first) - 1
+    # Pair keys source * n + location, ascending, and the location each came from.
+    key = np.arange(len(sources)) * n + sources
+    came = np.full(len(key), -1, dtype=links.dtype)
+    for k in range(steps):
+        at = key % n
+        counts = first[at + 1] - first[at]
+        ends = np.cumsum(counts)
+        if ends[-1] > _BFS_PAIRS and len(sources) > 1:
+            return None
+        nbr = links[np.arange(ends[-1]) + np.repeat(first[at] + counts - ends, counts)]
+        ahead = nbr != np.repeat(came, counts)
+        nxt = np.repeat(key - at, counts)[ahead] + nbr[ahead]
+        if not len(nxt):
+            break
+        if (key.take(np.searchsorted(key, nxt), mode="clip") == nxt).any():
+            return 2 * k + 1
+        order = np.argsort(nxt)
+        nxt = nxt[order]
+        if (nxt[1:] == nxt[:-1]).any():
+            return 2 * k + 2
+        key, came = nxt, np.repeat(at, counts)[ahead][order]
+    return math.inf
 
 
 # Route trees by graph, then by exclusion set; an entry goes with its graph.

@@ -64,7 +64,7 @@ class DescriptorStore:
         exactly 0.0 and small distances keep their precision.
         """
         # Imported where used, so that `import routeloc` and the searches
-        # that take no descriptor distances (BSD, T-only) load no scipy.spatial.
+        # that take no descriptor distances (BSD, BSD+T, T-only) load no scipy.
         from scipy.spatial.distance import cdist
 
         q = np.asarray(queries, dtype=np.float64)

@@ -177,8 +177,7 @@ def _random_planar_topology(cfg, rng):
             adjacency[i + 1].add(i)
         return positions, adjacency
 
-    # Imported where used, so that `import routeloc` and grid worlds load
-    # no scipy.spatial or csgraph.
+    # Imported where used, so that `import routeloc` and grid worlds load no scipy.
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import minimum_spanning_tree
     from scipy.spatial import Delaunay

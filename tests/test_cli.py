@@ -569,6 +569,29 @@ class TestErrorReporting:
         err = capsys.readouterr().err
         assert err.startswith("error[io]:") and "Traceback" not in err
 
+    @pytest.mark.parametrize("target, command, raised, message", [
+        ("routeloc.cli.generate_synthetic_world", ["world", "gen", "--out", "{out}"],
+         MemoryError(), "out of memory"),
+        ("routeloc.cli.train_encoders", ["embed", "train", "--graph", "{graph}", "--out", "{out}"],
+         MemoryError(), "out of memory"),
+        ("routeloc.cli.precision_recall_curve",
+         ["eval", "pr", "--queries", "{image_store}", "--refs", "{map_store}", "--out", "{out}"],
+         MemoryError("Unable to allocate 745. GiB for an array"),
+         "Unable to allocate 745. GiB for an array"),
+    ])
+    def test_memory_errors_are_memory(self, pipeline, tmp_path, capsys, monkeypatch,
+                                      target, command, raised, message):
+        # Raised by a stand-in: a real allocation this large could succeed on a
+        # machine that overcommits memory, and then be killed.
+        def stand_in(*args, **kwargs):
+            raise raised
+
+        monkeypatch.setattr(target, stand_in)
+        paths = dict(out=tmp_path / "out", graph=pipeline["graph"],
+                     image_store=pipeline["image_store"], map_store=pipeline["map_store"])
+        assert main([arg.format(**paths) for arg in command]) == 2
+        assert capsys.readouterr().err == f"error[memory]: {message}\n"
+
     @pytest.mark.parametrize("command, setting", [
         (["world", "gen", "--seed", "-1"], "seed"),
         (["embed", "train", "--graph", "{graph}", "--seed", "-1"], "seed"),

@@ -259,27 +259,69 @@ def tree_arrays(tree):
             np.where(expanded, tree.count[:n], 0), tree.step[:n] >> tree.turn_shift)
 
 
-def bfs_girth(g, exclusions=()):
-    """Edges in the shortest cycle over the allowed locations (inf with no cycle), by BFS.
+def reference_girth(g, exclusions=()):
+    """Edges in the shortest cycle over the allowed locations (inf with no cycle).
 
-    From every root, an edge between two reached locations that is not a
-    BFS tree edge closes a cycle of at most dist + dist + 1 edges, and the
-    shortest cycle is found exactly from any of its locations.
+    For each edge (u, v), a plain breadth-first search from u to v that may
+    not take that edge: the shortest cycle through the edge is the path it
+    finds plus the edge.
     """
     allowed = {loc.id for loc in g.locations() if not loc.tags & frozenset(exclusions)}
     best = np.inf
-    for root in allowed:
-        dist, parent, queue = {root: 0}, {root: None}, [root]
-        for u in queue:
-            for w in g.neighbors_of(u):
-                if w not in allowed or w == parent[u]:
-                    continue
-                if w in dist:
-                    best = min(best, dist[u] + dist[w] + 1)
-                else:
-                    dist[w], parent[w] = dist[u] + 1, u
-                    queue.append(w)
+    for u in allowed:
+        for v in g.neighbors_of(u):
+            if v not in allowed or v < u:
+                continue
+            dist, queue = {u: 0}, [u]
+            for x in queue:
+                for w in g.neighbors_of(x):
+                    if w in allowed and w not in dist and (x, w) != (u, v):
+                        dist[w] = dist[x] + 1
+                        queue.append(w)
+            if v in dist:
+                best = min(best, dist[v] + 1)
     return best
+
+
+@st.composite
+def girth_graphs(draw):
+    """A graph and exclusions: a grid world with edge drops and excluded tunnels,
+    a random-planar world, or pieces under shuffled ids, drawn from trees, bare
+    rings (some longer than 127 locations) and small random graphs."""
+    kind = draw(st.sampled_from(["grid", "planar", "pieces"]))
+    exclusions = ("tunnel",) if draw(st.booleans()) else ()
+    if kind != "pieces":
+        block_len = draw(st.integers(1, 4))
+        return generate_synthetic_world(SyntheticWorldConfig(
+            layout="grid" if kind == "grid" else "random-planar",
+            node_count=draw(st.integers(4 * block_len, 60)), seed=draw(st.integers(0, 99)),
+            block_len=block_len,
+            edge_drop_prob=draw(st.sampled_from([0.0, 0.2, 0.4])),
+            tag_densities={"tunnel": draw(st.sampled_from([0.0, 0.15]))})), exclusions
+    edges, n = [], 0
+    for piece in draw(st.lists(st.sampled_from(["tree", "ring", "long ring", "random"]),
+                               min_size=1, max_size=4)):
+        if piece == "tree":
+            size = draw(st.integers(1, 12))
+            edges += [(n + i, n + draw(st.integers(0, i - 1))) for i in range(1, size)]
+        elif piece == "random":
+            size = draw(st.integers(2, 8))
+            pairs = [(i, j) for i in range(size) for j in range(i + 1, size)]
+            edges += [(n + i, n + j) for i, j in
+                      draw(st.lists(st.sampled_from(pairs), unique=True, max_size=2 * size))]
+        else:
+            size = draw(st.integers(128, 160) if piece == "long ring" else st.integers(3, 12))
+            edges += [(n + i, n + (i + 1) % size) for i in range(size)]
+        n += size
+    ids = draw(st.permutations(range(n)))
+    tunnels = draw(st.sets(st.integers(0, n - 1), max_size=3))
+    nbrs = {i: set() for i in range(n)}
+    for i, j in edges:
+        nbrs[ids[i]].add(ids[j])
+        nbrs[ids[j]].add(ids[i])
+    return MapGraph([Location(i, (10.0 * i, 10.0 * (i % 7)), 0.0, tuple(sorted(nbrs[i])),
+                              frozenset({"tunnel"} if i in tunnels else ()))
+                     for i in range(n)]), exclusions
 
 
 def reference_smallest(dists, bounds, keep):
@@ -777,7 +819,7 @@ class TestRouteTree:
                 before = tree.size
                 tree.expand(nodes, m)
                 nodes = np.arange(before, tree.size)
-        assert trees[0].girth(8) == bfs_girth(g) == 4
+        assert trees[0].girth(8) == reference_girth(g) == 4
         for got, want in zip(tree_arrays(trees[0]), tree_arrays(trees[1])):
             assert np.array_equal(got, want)
         assert {tuple(r) for r in g.id_array[trees[0].walks(nodes, 9).T].tolist()} == \
@@ -822,10 +864,27 @@ class TestRouteTree:
     def test_girth_matches_breadth_first_search(self, g, exclude, depths):
         excl = ("tunnel",) if exclude else ()
         tree = localizer.RouteTree(g, frozenset(excl))
-        want = bfs_girth(g, excl)
+        want = reference_girth(g, excl)
         # Asked lazily, deeper each time: exact up to the depth asked, a bound past it.
         for m in sorted(depths):
             assert tree.girth(m) == min(want, max(m + 1, 3))
+
+    @given(girth_graphs(), st.permutations(range(1, 31)))
+    @settings(max_examples=60, deadline=None)
+    def test_girth_is_a_bound_exact_up_to_the_depth_asked(self, graph, depths):
+        g, excl = graph
+        want = reference_girth(g, excl)
+        # Asked deeper each time, as expansions ask, and in any order.
+        for order in (range(1, 31), depths):
+            tree = localizer.RouteTree(g, frozenset(excl))
+            for m in order:
+                got = tree.girth(m)
+                assert got <= want
+                if want <= m:
+                    assert got == want
+        # Exact at any depth, past any byte-sized count.
+        m = len(g) + 2
+        assert localizer.RouteTree(g, frozenset(excl)).girth(m) == min(want, m + 1)
 
     @pytest.mark.parametrize("graph,exclusions,girth", [
         ("path_graph", (), np.inf), ("tee_graph", (), np.inf),
@@ -838,7 +897,7 @@ class TestRouteTree:
                                    frozenset({"tunnel"} if i == 2 else ())) for i in range(4)])
         else:
             g = request.getfixturevalue(graph)
-        assert bfs_girth(g, exclusions) == girth
+        assert reference_girth(g, exclusions) == girth
         assert localizer.RouteTree(g, frozenset(exclusions)).girth(10) == min(girth, 11)
 
     @pytest.mark.parametrize("cfg,bit", [(LocalizerConfig(cull_fraction=0.5, cull_floor=2), None),
