@@ -274,7 +274,8 @@ def _cmd_eval_recall(args):
 
 
 def _cmd_eval_pr(args):
-    for flag, value, least in (("--thresholds", args.thresholds, 1), ("--seed", args.seed, 0),
+    for flag, value, least in (("--thresholds", args.thresholds, 1), ("--bins", args.bins, 1),
+                               ("--seed", args.seed, 0),
                                ("--unmatched-per-query", args.unmatched_per_query, 1)):
         if value < least:
             raise ValueError(f"{flag} must be >= {least}, got {value}")
@@ -326,6 +327,9 @@ def _cmd_localize_run(args):
         bits = args.turns.split(",") if args.turns else []
         if len(bits) != m - 1 or not set(bits) <= {"0", "1"}:
             raise ValueError(f"turn pattern must be {m - 1} bits of 0 or 1, got {args.turns}")
+        if bits and bits[0] == "1":
+            raise ValueError(f"turn pattern must start with 0, got {args.turns}: a route's "
+                             "first segment follows no other, so it never turns")
         bits = [int(b) for b in bits]
     costs = store.distance_matrix(qstore.vectors)[:, store.rows_of(g.id_array)]
     state = start_candidates(g, costs[0], exclusions)
@@ -360,6 +364,9 @@ def _cmd_bench_sweep(args):
     ]
     if not configs:
         raise ValueError(f"--methods names no method, got {args.methods!r}")
+    methods = [cfg.method for cfg in configs]
+    if len(set(methods)) < len(methods):
+        raise ValueError(f"--methods names a method twice, got {args.methods!r}")
     g = load_graph(args.graph)
     # The embedding methods share one seed and schedule, so one training serves them all.
     embedded = [cfg for cfg in configs if cfg.method in bench_mod.EMBEDDING_METHODS]

@@ -122,9 +122,9 @@ class RouteTree:
     closing a cycle through positions i .. m, so ``expand`` compares
     children with earlier positions only once routes are as long as the
     shortest cycle of the allowed locations, the girth, and then only with
-    the positions a cycle can reach.  The girth is found lazily, by a
-    breadth-first search from the junctions only as deep as the expansions
-    need.
+    the positions a cycle can reach.  The girth is found lazily, by
+    breadth-first searches from the junctions, each twice as deep as the
+    last, as expansions reach routes past the lengths ruled out.
 
     ``levels`` holds the structural half of the unculled steps searches
     have taken, keyed by the turn bits they filtered on: the key of a
@@ -204,12 +204,10 @@ class RouteTree:
         self.count = np.zeros(self.size, dtype=count_type)
         self.step = np.full(self.size, deg, dtype=step_type)
         self.levels = {(None,): (range(self.roots), None, np.array([self.roots]))}
-        # The girth's breadth-first search goes over each row's allowed neighbors,
-        # _links[_link_first[r]:_link_first[r + 1]], from _sources: every cycle
-        # passes through a junction (an allowed location with three or more) or
-        # is a bare ring, whose smallest row has two larger ones.
-        self._links, self._link_first = c[pairs], np.append(first, len(pairs))
-        lower = np.bincount(r[pairs][self._links < r[pairs]], minlength=n)
+        # The girth's breadth-first search goes from _sources: every cycle passes
+        # through a junction (an allowed location with three or more allowed
+        # neighbors) or is a bare ring, whose smallest row has two larger ones.
+        lower = np.bincount(r[pairs][c[pairs] < r[pairs]], minlength=n)
         self._sources = np.flatnonzero(allowed & ((fanout >= 3) | ((fanout == 2) & (lower == 0))))
         # The girth once found, and until then the length up to which cycles are
         # ruled out; a location is never its own neighbor, and a route never
@@ -220,20 +218,26 @@ class RouteTree:
         """A lower bound on the girth that is exact when the girth is at most m.
 
         A call that asks past the lengths ruled out so far searches from the
-        sources again, a block at a time, each only as deep as m, or a cycle
-        shorter than the shortest found, needs.  A block starts as every
-        source left and is halved while a level would outgrow ``_BFS_PAIRS``.
+        sources again, a block at a time, each only as deep as m or twice the
+        lengths ruled out, whichever is more, or a cycle shorter than the
+        shortest found, needs.  A block starts as every source left and is
+        halved while a level would outgrow ``_BFS_PAIRS``.
         """
         if self._cycle_free < m:
+            depth = max(m, 2 * self._cycle_free)
+            # Row r's allowed neighbors are the children of its root edge.
+            roots = slice(self._arity - 1, None, self._arity)
+            first = self._edge_first[roots]
+            count = self._edge_count[roots].astype(np.intp)  # int64 - uint64 is float64
             sources, lo, block = self._sources, 0, len(self._sources)
             while lo < len(sources):
-                found = _shortest_cycle(self._link_first, self._links, sources[lo:lo + block],
-                                        (min(m, self._girth - 1) + 1) // 2)
+                found = _shortest_cycle(first, count, self._succ_row, sources[lo:lo + block],
+                                        (min(depth, self._girth - 1) + 1) // 2)
                 if found is None:
                     block //= 2
                 else:
                     self._girth, lo = min(self._girth, found), lo + block
-            self._cycle_free = 2 * ((m + 1) // 2) if self._girth == math.inf else math.inf
+            self._cycle_free = 2 * ((depth + 1) // 2) if self._girth == math.inf else math.inf
         return min(self._girth, max(m + 1, 3))
 
     def walks(self, nodes: np.ndarray, m: int) -> np.ndarray:
@@ -297,10 +301,11 @@ class RouteTree:
             del old, new
 
 
-def _shortest_cycle(first: np.ndarray, links: np.ndarray, sources: np.ndarray, steps: int):
+def _shortest_cycle(first: np.ndarray, count: np.ndarray, links: np.ndarray,
+                    sources: np.ndarray, steps: int):
     """Edges in the shortest cycle through ``sources`` within ``steps`` BFS levels (inf for none).
 
-    Row r's neighbors are ``links[first[r]:first[r + 1]]``.  Level k of a
+    Row r's neighbors are ``links[first[r]:first[r] + count[r]]``.  Level k of a
     source is the locations k edges from it, every source searched at once
     as (source, location) pairs.  A level goes on to its locations' neighbors
     but the one each came from: one on level k closes a cycle of at most
@@ -309,13 +314,13 @@ def _shortest_cycle(first: np.ndarray, links: np.ndarray, sources: np.ndarray, s
     having stopped part way, when a level of several sources would gather
     more than ``_BFS_PAIRS`` pairs.
     """
-    n = len(first) - 1
+    n = len(first)
     # Pair keys source * n + location, ascending, and the location each came from.
     key = np.arange(len(sources)) * n + sources
     came = np.full(len(key), -1, dtype=links.dtype)
     for k in range(steps):
         at = key % n
-        counts = first[at + 1] - first[at]
+        counts = count[at]
         ends = np.cumsum(counts)
         if ends[-1] > _BFS_PAIRS and len(sources) > 1:
             return None
@@ -495,10 +500,7 @@ def _children(state: CandidateSet, bits) -> tuple:
     """
     tree, m = state.tree, state.length_m
     if state.keys is None:
-        child, counts, starts = _extend(tree, _ids(state._nodes), state._bounds, m)
-        if bits is not None:
-            child, counts, starts = _turn_filter(
-                tree, child, starts, _per_candidate(bits, starts[state._bounds]))
+        child, counts, starts = _extend(tree, _ids(state._nodes), state._bounds, m, bits)
         return child, tree.row[child], counts, starts[state._bounds], None
     keys = [key + (bit,) for key, bit in
             zip(state.keys, [None] * state.queries if bits is None else bits.astype(int).tolist())]
@@ -508,9 +510,14 @@ def _children(state: CandidateSet, bits) -> tuple:
             level = tree.levels.get(key)
             if level is None:
                 # Query q's segment is the level this one extends.
-                segment = state._nodes[state._bounds[q]:state._bounds[q + 1]]
-                level = _fill(tree, _ids(segment), m, key[-1])
-                if len(level[0]):
+                segment = _ids(state._nodes[state._bounds[q]:state._bounds[q + 1]])
+                child, counts, _ = _extend(tree, segment, np.array([0, len(segment)]), m,
+                                           None if key[-1] is None else key[-1:])
+                if len(child) and (np.diff(child) == 1).all():
+                    level = range(int(child[0]), int(child[-1]) + 1), None, counts
+                else:
+                    level = child, tree.row[child], counts
+                if len(child):
                     tree.levels[key] = level
             levels[key] = level
     bounds = np.array([0, *accumulate(len(levels[key][0]) for key in keys)])
@@ -523,19 +530,6 @@ def _children(state: CandidateSet, bits) -> tuple:
     rows = np.concatenate([rows for _, rows, _ in parts])
     counts = np.concatenate([counts for _, _, counts in parts])
     return child, rows, counts, bounds, keys
-
-
-def _fill(tree: RouteTree, nodes: np.ndarray, m: int, bit) -> tuple:
-    """The level of the extensions of ``nodes`` whose turn bit is ``bit`` (all for None).
-
-    ``nodes`` are a level of routes of m locations.
-    """
-    child, counts, starts = _extend(tree, nodes, np.array([0, len(nodes)]), m)
-    if bit is not None:
-        child, counts, _ = _turn_filter(tree, child, starts, bit)
-    if len(child) and (np.diff(child) == 1).all():
-        return range(int(child[0]), int(child[-1]) + 1), None, counts
-    return child, tree.row[child], counts
 
 
 def _with_rows(tree: RouteTree, level: tuple) -> tuple:
@@ -551,12 +545,14 @@ def _ids(nodes) -> np.ndarray:
     return nodes
 
 
-def _extend(tree: RouteTree, nodes: np.ndarray, bounds: np.ndarray, m: int) -> tuple:
+def _extend(tree: RouteTree, nodes: np.ndarray, bounds: np.ndarray, m: int, bits) -> tuple:
     """(child, counts, starts) of the legal extensions of ``nodes``, routes of m locations.
 
     Node i's children are ``child[starts[i]:starts[i + 1]]``, ``counts[i]``
     of them.  ``nodes`` are split into segments by ``bounds``; nodes no
-    search has expanded yet are expanded first.
+    search has expanded yet are expanded first.  ``bits`` holds one turn
+    bit per segment, and segment q keeps only the children whose turn bit
+    is ``bits[q]``; None keeps them all.
     """
     first = tree.first[nodes]
     fresh = nodes[first < 0]
@@ -574,17 +570,12 @@ def _extend(tree: RouteTree, nodes: np.ndarray, bounds: np.ndarray, m: int) -> t
     np.cumsum(counts, dtype=np.int32, out=starts[1:])
     _check_budget(starts[bounds])
     child = np.arange(starts[-1], dtype=np.int32) + np.repeat(first - starts[:-1], counts)
+    if bits is not None:
+        turn = _take(tree.step, child) >> tree.turn_shift
+        keep = np.flatnonzero(turn == _per_candidate(bits, starts[bounds]))
+        starts = np.searchsorted(keep, starts)
+        child, counts = child[keep], np.diff(starts).astype(tree.count.dtype)
     return child, counts, starts
-
-
-def _turn_filter(tree: RouteTree, child: np.ndarray, starts: np.ndarray, bits) -> tuple:
-    """(child, counts, starts), as from _extend, of the children whose turn bit is ``bits``.
-
-    ``bits`` is one bit, or one per child.
-    """
-    keep = np.flatnonzero((_take(tree.step, child) >> tree.turn_shift) == bits)
-    starts = np.searchsorted(keep, starts)
-    return child[keep], np.diff(starts).astype(tree.count.dtype), starts
 
 
 def _check_budget(bounds: np.ndarray) -> None:

@@ -349,6 +349,17 @@ class TestLocalizeCommand:
             assert ret == 2
             assert "error[config]: turn pattern must be 2 bits" in capsys.readouterr().err
 
+    def test_turn_pattern_starting_with_a_turn_is_config(self, pipeline, tmp_path, capsys):
+        # Every route's first turn bit is 0, so such a pattern could match no route.
+        _, _, qpath = self.make_query(pipeline, tmp_path, 3)
+        ret = main(["localize", "run", "--graph", str(pipeline["graph"]),
+                    "--store", str(pipeline["map_store"]), "--query", str(qpath),
+                    "--turns", "1,0", "--out", str(tmp_path / "out")])
+        assert ret == 2
+        assert capsys.readouterr().err.startswith(
+            "error[config]: turn pattern must start with 0, got 1,0")
+        assert not (tmp_path / "out").exists()
+
     def test_top_k_below_one(self, pipeline, tmp_path, capsys):
         _, _, qpath = self.make_query(pipeline, tmp_path, 3)
         with mock.patch("routeloc.cli.start_candidates") as start:
@@ -470,6 +481,20 @@ class TestBenchCommands:
                     "--out", str(tmp_path / "out")])
         assert ret == 2
         assert capsys.readouterr().err.startswith("error[config]: --methods names no method")
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_of_a_repeated_method_is_config(self, pipeline, tmp_path, capsys,
+                                                  monkeypatch):
+        # A repeated method would overwrite its own report files.
+        def load(*args, **kwargs):
+            raise AssertionError("graph loaded for a sweep that repeats a method")
+
+        monkeypatch.setattr("routeloc.cli.load_graph", load)
+        ret = main(["bench", "sweep", "--graph", str(pipeline["graph"]),
+                    "--methods", "T-only,BSD,T-only", "--out", str(tmp_path / "out")])
+        assert ret == 2
+        assert capsys.readouterr().err == (
+            "error[config]: --methods names a method twice, got 'T-only,BSD,T-only'\n")
         assert not (tmp_path / "out").exists()
 
     def test_sweep_reports_equal_run_experiment(self, tmp_path):
@@ -602,6 +627,7 @@ class TestErrorReporting:
         (["eval", "pr", "--queries", "{absent}", "--refs", "{absent}", "--seed", "-1"], "--seed"),
         (["eval", "pr", "--queries", "{absent}", "--refs", "{absent}", "--thresholds", "-1"],
          "--thresholds"),
+        (["eval", "pr", "--queries", "{absent}", "--refs", "{absent}", "--bins", "0"], "--bins"),
     ])
     def test_bad_seed_or_threshold_count_is_config(self, pipeline, tmp_path, capsys, command,
                                                    setting):

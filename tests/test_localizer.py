@@ -900,6 +900,18 @@ class TestRouteTree:
         assert reference_girth(g, exclusions) == girth
         assert localizer.RouteTree(g, frozenset(exclusions)).girth(10) == min(girth, 11)
 
+    def test_girth_asked_a_length_at_a_time_doubles_its_search(self):
+        # A block_len-10 grid's girth is 40.  Asked for 1 .. 20 in turn, as
+        # expansions ask, it searches 2, 4, 8 and 16 levels deep, not at every
+        # odd length.
+        g = generate_synthetic_world(SyntheticWorldConfig(node_count=2000, seed=0, block_len=10))
+        tree = localizer.RouteTree(g, frozenset())
+        with mock.patch.object(localizer, "_shortest_cycle",
+                               wraps=localizer._shortest_cycle) as search:
+            assert [tree.girth(m) for m in range(1, 21)] == [max(m + 1, 3) for m in range(1, 21)]
+        assert search.call_count <= 4
+        assert tree.girth(40) == 40
+
     @pytest.mark.parametrize("cfg,bit", [(LocalizerConfig(cull_fraction=0.5, cull_floor=2), None),
                                          (LocalizerConfig(cull_fraction=0.5, cull_floor=2), 0)])
     def test_a_state_holds_only_its_frontier(self, cfg, bit):
